@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .ballvol import v_exact, w_exact
 from .bounds import BoundId, eval_bound, eval_bound_mp
 from .errors import DomainError
+from .gautschi import _dps, _log_partial
 
 # sidedness slack: gap > -TIE_REL * scale counts as correct-sided, which
 # admits the one documented exact-equality case without admitting real flips
@@ -26,8 +26,6 @@ TIE_REL = 1e-13
 
 # |a - b| below this (relative) sends a sharpness comparison to mpmath
 _RECHECK_REL = 1e-12
-
-_CHUNK = 1 << 22
 
 _V_REAL: dict[int, float] = {}
 _W_REAL: dict[int, float] = {}
@@ -118,27 +116,33 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
     return CrossoverResult(a, b, a.target, frozenset(sharper), threshold)
 
 
-def _overtake_log_target(n: int) -> float:
-    # log(sqrt(pi (2n+1))/2): the full product pi*v_n must beat this for a
-    # finite overtake index to exist, and it does since (pi v_n)^2 > pi(2n+1)/4
-    return 0.5 * math.log(math.pi * (2 * n + 1)) - math.log(2.0)
+def _log_half_sqrt_pi(n: int, shift: int, m: int) -> mpmath.mpf:
+    """log(sqrt(pi(2n+shift))/2) at the working precision of log P(m), where
+    P(m), the product below, is the joint-factor partial f_m((n+1)/2, 1/2)."""
+    with mpmath.workdps(_dps((n + 1) / 2.0, m)):
+        return mpmath.log(mpmath.pi * (2 * n + shift)) / 2 - mpmath.log(2)
 
 
 def product_overtake_index(n: int, r_max: int) -> int | None:
     """Least r with prod_{k=1}^r (2k/(2k-1))((2k+n-1)/(2k+n)) above
-    sqrt(pi(2n+1))/2, scanning r <= r_max; None when no r qualifies."""
+    sqrt(pi(2n+1))/2, bisecting over r <= r_max since partials increase;
+    None when none does. A finite one exists, as (pi v_n)^2 > pi(2n+1)/4."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    target = _overtake_log_target(n)
-    offset = 0.0
-    for lo in range(1, r_max + 1, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, r_max + 1), dtype=np.float64)
-        partial = np.cumsum(np.log1p(n / ((2.0 * k - 1.0) * (2.0 * k + n))))
-        idx = int(np.searchsorted(partial, target - offset, side="right"))
-        if idx < len(partial):
-            return lo + idx
-        offset += float(partial[-1])
-    return None
+    if r_max < 1:
+        return None
+    x = (n + 1) / 2.0
+    target = _log_half_sqrt_pi(n, 1, r_max)
+    if not _log_partial(x, 0.5, r_max) > target:
+        return None
+    lo, hi = 0, r_max  # P(lo) <= target < P(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_partial(x, 0.5, mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def partials_below_upper_cap(n: int, m_max: int) -> bool:
@@ -146,12 +150,8 @@ def partials_below_upper_cap(n: int, m_max: int) -> bool:
     sqrt(pi(2n+2))/2. Partials increase, so only the last one is checked."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    cap = 0.5 * math.log(math.pi * (2 * n + 2)) - math.log(2.0)
-    total = 0.0
-    for lo in range(1, m_max + 1, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, m_max + 1), dtype=np.float64)
-        total += float(np.sum(np.log1p(n / ((2.0 * k - 1.0) * (2.0 * k + n)))))
-    return total < cap
+    m = max(m_max, 0)
+    return _log_partial((n + 1) / 2.0, 0.5, m) < _log_half_sqrt_pi(n, 2, m)
 
 
 def klein_rota_check(n_max: int) -> bool:

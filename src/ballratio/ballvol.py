@@ -15,18 +15,16 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+import mpmath
 
 from .errors import BallRatioError, DomainError, NonConvergenceError
-from .gautschi import joint_factor
+from .gautschi import _log_partial, joint_factor
 from .truncation import TruncationControl
 
 # 34-digit brackets: PI_LO < pi < PI_HI. Wide enough to separate every
 # comparison the catalog needs; compare_to_fraction raises if they fail to.
 PI_LO = Fraction(31415926535897932384626433832795028, 10**34)
 PI_HI = PI_LO + Fraction(1, 10**34)
-
-_CHUNK = 1 << 22
 
 _lock = threading.Lock()
 _FACT: list[int] = [1]  # _FACT[i] = i!
@@ -148,13 +146,11 @@ def v_product(n: int, ctrl: TruncationControl | None = None) -> float:
     return joint_factor((n + 1) / 2.0, 0.5, ctrl) / math.pi
 
 
-def _w_log_partial(n: int, m: int) -> float:
-    chunks = []
-    for lo in range(1, m + 1, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, m + 1), dtype=np.float64)
-        t = 2.0 * k + n
-        chunks.append(float(np.sum(np.log1p(1.0 / ((t - 1.0) * (t + 1.0))))))
-    return math.fsum(chunks)
+def _w_partial(n: int, m: int) -> float:
+    # the w factors are the quotient of the joint factors at x + 1/2 and x
+    x = (n + 1) / 2.0
+    return float(mpmath.exp(mpmath.fsub(_log_partial(x + 0.5, 0.5, m),
+                                        _log_partial(x, 0.5, m), exact=True)))
 
 
 def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
@@ -176,8 +172,8 @@ def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
             cap = ctrl.max_terms
             raise NonConvergenceError(
                 f"w product at n={n} needs {m} factors for eps={ctrl.eps}",
-                partial=math.exp(_w_log_partial(n, cap)),
+                partial=_w_partial(n, cap),
                 tail_bound=1.0 / (2.0 * (2.0 * cap + n + 1.0)),
                 terms=cap,
             )
-    return math.exp(_w_log_partial(n, m))
+    return _w_partial(n, m)

@@ -16,7 +16,7 @@ import sys
 from . import analysis
 from .ballvol import omega_exact, v_exact, w_exact
 from .bounds import catalog, family_labels, parse_label
-from .errors import BallRatioError, DomainError
+from .errors import BallRatioError
 
 
 def _n_list(text: str) -> list[int]:
@@ -178,16 +178,16 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     specs = catalog()
     records = analysis.verify_bounds([s.id for s in specs], args.n_max)
-    stats: dict[str, list[int]] = {s.id.label(): [0, 0] for s in specs}
+    stats = {s.id: [0, 0] for s in specs}
     for rec in records:
-        entry = stats[rec.bound.label()]
+        entry = stats[rec.bound]
         entry[0] += 1
         entry[1] += 1 if rec.side_ok else 0
     headers = ["bound", "side", "target", "checked", "ok", "violations"]
     rows = []
     violations = 0
     for s in specs:
-        checked, ok = stats[s.id.label()]
+        checked, ok = stats[s.id]
         rows.append([s.id.label(), s.side, s.target, checked, ok, checked - ok])
         violations += checked - ok
     klein_ok = analysis.klein_rota_check(args.n_max)
@@ -247,9 +247,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"ballratio: {exc}", file=sys.stderr)
-        return 3
     except BallRatioError as exc:
         print(f"ballratio: {exc}", file=sys.stderr)
         return 3

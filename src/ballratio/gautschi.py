@@ -6,9 +6,10 @@ The quotient Gamma(x+a)/Gamma(x) equals f(x,a)/Gamma(1-a), where
 
 Each factor equals 1 + c/((k-a)(k+x+a-1)) with c = a(x+a-1), so the
 product converges like O(1/m): slow, which is why exact needs route
-through ballvol instead of through tighter tolerances here. Partial
-products are evaluated as vectorized log1p sums; tails are certified by an
-integral comparison bound.
+through ballvol instead of through tighter tolerances here. Each partial
+product is a quotient of gamma functions, so its log is evaluated in closed
+form from loggamma (DLMF 5.11) at any m; tails are certified by an integral
+comparison bound.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+import mpmath
 
 from .errors import DomainError, NonConvergenceError
 from .truncation import TruncationControl
 
-_CHUNK = 1 << 22
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -39,8 +39,8 @@ class ProductResult:
 
 def _validate(x, a) -> tuple[float, float]:
     xf, af = float(x), float(a)
-    if not xf > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    if not 0.0 < xf < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x!r}")
     if not af < 1.0:
         raise DomainError(f"a must be below 1, got {a!r}")
     if not xf + af > 0.0:
@@ -65,15 +65,21 @@ def joint_factor_truncate(x, a, m: int):
     return result
 
 
-def _log_partial(xf: float, af: float, m: int) -> float:
-    """log f_m as a chunked sum of log1p(c/((k-a)(k+b)))."""
-    c = af * (xf + af - 1.0)
-    b = xf + af - 1.0
-    chunks = []
-    for lo in range(1, m + 1, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, m + 1), dtype=np.float64)
-        chunks.append(float(np.sum(np.log1p(c / ((k - af) * (k + b))))))
-    return math.fsum(chunks)
+def _dps(x: float, m: int) -> int:
+    """Working digits for log f_m: double precision and guard digits, plus the
+    ~log10((m+x) log(m+x)) digits lost where the loggamma terms cancel."""
+    t = m + x + 3.0
+    return 20 + math.ceil(math.log10(t * math.log(t)))
+
+
+def _log_partial(x: float, a: float, m: int) -> mpmath.mpf:
+    """log f_m(x,a), m >= 0, in loggamma; the v, w, overtake and upper-cap
+    partial products are all computed here."""
+    lg = mpmath.loggamma
+    with mpmath.workdps(_dps(x, m)):
+        x, a = mpmath.mpf(x), mpmath.mpf(a)
+        return (lg(m + 1) + lg(x + m) - lg(x) - lg(m + 1 - a) + lg(1 - a)
+                - lg(m + x + a) + lg(x + a))
 
 
 def _tail_bound(xf: float, af: float, m: int) -> float:
@@ -81,8 +87,8 @@ def _tail_bound(xf: float, af: float, m: int) -> float:
 
     Integral comparison: the summand is |c|/((k-a)(k+b)), decreasing in k,
     so the tail is below the integral from m, which evaluates to
-    (|c|/(a+b)) log((m+b)/(m-a)); the degenerate a+b = 0 case collapses to
-    |c|/(m-a).
+    (|c|/(a+b)) log1p((a+b)/(m-a)), free of cancellation at large m; the
+    degenerate a+b = 0 case collapses to |c|/(m-a).
     """
     c = af * (xf + af - 1.0)
     if c == 0.0:
@@ -91,7 +97,7 @@ def _tail_bound(xf: float, af: float, m: int) -> float:
     denom = af + b
     if denom == 0.0:
         return abs(c) / (m - af)
-    return abs(c / denom * math.log((m + b) / (m - af)))
+    return abs(c / denom * math.log1p(denom / (m - af)))
 
 
 def _minimal_m(xf: float, af: float, eps: float) -> int:
@@ -119,31 +125,27 @@ def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductR
         ctrl = TruncationControl.tolerance()
     if ctrl.is_fixed:
         m = ctrl.m
-        return ProductResult(
-            value=math.exp(_log_partial(xf, af, m)),
-            terms_used=m,
-            tail_bound=_tail_bound(xf, af, m),
-        )
-    c = af * (xf + af - 1.0)
-    if c == 0.0:
-        # x = 1 - a (or a = 0): every factor is exactly 1
-        return ProductResult(value=1.0, terms_used=0, tail_bound=0.0)
-    if c < 0.0:
-        raise DomainError(
-            "tolerance mode needs factors >= 1, i.e. a(x+a-1) >= 0; "
-            f"got x={x!r}, a={a!r}"
-        )
-    m = _minimal_m(xf, af, ctrl.eps)
-    if m > ctrl.max_terms:
-        cap = ctrl.max_terms
-        raise NonConvergenceError(
-            f"joint factor at x={xf}, a={af} needs {m} factors for eps={ctrl.eps}",
-            partial=math.exp(_log_partial(xf, af, cap)),
-            tail_bound=_tail_bound(xf, af, cap),
-            terms=cap,
-        )
+    else:
+        c = af * (xf + af - 1.0)
+        if c == 0.0:
+            # x = 1 - a (or a = 0): every factor is exactly 1
+            return ProductResult(value=1.0, terms_used=0, tail_bound=0.0)
+        if c < 0.0:
+            raise DomainError(
+                "tolerance mode needs factors >= 1, i.e. a(x+a-1) >= 0; "
+                f"got x={x!r}, a={a!r}"
+            )
+        m = _minimal_m(xf, af, ctrl.eps)
+        if m > ctrl.max_terms:
+            cap = ctrl.max_terms
+            raise NonConvergenceError(
+                f"joint factor at x={xf}, a={af} needs {m} factors for eps={ctrl.eps}",
+                partial=float(mpmath.exp(_log_partial(xf, af, cap))),
+                tail_bound=_tail_bound(xf, af, cap),
+                terms=cap,
+            )
     return ProductResult(
-        value=math.exp(_log_partial(xf, af, m)),
+        value=float(mpmath.exp(_log_partial(xf, af, m))),
         terms_used=m,
         tail_bound=_tail_bound(xf, af, m),
     )

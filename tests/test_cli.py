@@ -10,7 +10,7 @@ import pytest
 from ballratio import analysis
 from ballratio import ballvol as bv
 from ballratio.analysis import EvaluationRecord
-from ballratio.bounds import W_UPPER_51
+from ballratio.bounds import W_UPPER_51, parse_label
 from ballratio.cli import main
 
 
@@ -131,6 +131,18 @@ def test_verify_csv_one_row_per_family(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 28  # header + 27 catalog entries
     assert rows[0][0] == "bound"
+
+
+def test_verify_tallies_each_bound_once(capsys):
+    # v and w share labels such as upper-alzer; each row counts its own target
+    rc, out, _ = run_cli(capsys, ["verify", "--n-max", "20", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    for row in payload["rows"]:
+        min_n = parse_label(row["target"], row["bound"]).min_n
+        assert row["checked"] == 20 - min_n + 1, row
+    total = sum(row["checked"] for row in payload["rows"])
+    assert total == payload["summary"]["records"]
 
 
 def test_verify_injected_fault_exits_one(capsys, monkeypatch):

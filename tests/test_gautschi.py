@@ -4,6 +4,7 @@ tolerance-mode stopping, and the assembled gamma quotient."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +74,27 @@ def test_tolerance_stops_at_minimal_m():
     m = res.terms_used
     assert res.tail_bound == ga._tail_bound(x, a, m) < eps
     assert ga._tail_bound(x, a, m - 1) >= eps
+
+
+def test_tolerance_tail_bound_holds_at_high_precision():
+    # in double, log((m+b)/(m-a)) loses ~1e-11 to cancellation at this m,
+    # enough to stop one term before the certificate holds
+    x, a, eps = 7.0, 0.4, 1e-6
+    m = ga.joint_factor_result(x, a, TruncationControl.tolerance(eps)).terms_used
+    assert m == 2559998
+    with mpmath.workdps(50):
+        x, a = mpmath.mpf(x), mpmath.mpf(a)
+        b = x + a - 1
+        tail = abs(a * b / (a + b) * mpmath.log((m + b) / (m - a)))
+    assert tail < eps
+
+
+def test_fixed_mode_precision_at_large_x():
+    # the loggamma terms reach ~5e21 here, so the working precision must
+    # grow with x for the partial to keep double accuracy
+    got = ga.joint_factor_result(1e20, 0.5, TruncationControl.fixed(3)).value
+    want = float(ga.joint_factor_truncate(Fraction(10**20), Fraction(1, 2), 3))
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_tail_bound_certifies_value():
