@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .ballvol import v_exact, w_exact
+from .ballvol import exact_ratios, v_exact, w_exact
 from .bounds import BoundId, eval_bound, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _dps, _log_partial
@@ -27,18 +27,10 @@ TIE_REL = 1e-13
 # |a - b| below this (relative) sends a sharpness comparison to mpmath
 _RECHECK_REL = 1e-12
 
-_V_REAL: dict[int, float] = {}
-_W_REAL: dict[int, float] = {}
-
 
 def exact_target(target: str, n: int) -> float:
-    """Double image of v_n or w_n, cached per n for sweep reuse."""
-    cache = _V_REAL if target == "v" else _W_REAL
-    val = cache.get(n)
-    if val is None:
-        val = (v_exact(n) if target == "v" else w_exact(n)).to_real()
-        cache[n] = val
-    return val
+    """Double image of v_n or w_n."""
+    return (v_exact(n) if target == "v" else w_exact(n)).to_real()
 
 
 @dataclass(frozen=True)
@@ -71,11 +63,16 @@ def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
     """One record per (bound, n) with n from the bound's min_n up to n_max."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    reals: dict[str, list[float]] = {"v": [0.0], "w": [0.0]}  # indexed by n
+    for _, v, w in exact_ratios(n_max):
+        reals["v"].append(v.to_real())
+        reals["w"].append(w.to_real())
     records: list[EvaluationRecord] = []
     for bid in ids:
+        exact = reals[bid.target]
         for n in range(bid.min_n, n_max + 1):
             bv = eval_bound(bid, n)
-            ev = exact_target(bid.target, n)
+            ev = exact[n]
             gap = ev - bv if bid.side == "lower" else bv - ev
             ok = gap > -TIE_REL * max(1.0, abs(ev))
             records.append(EvaluationRecord(n, bid, bv, ev, gap, ok))
@@ -158,8 +155,8 @@ def klein_rota_check(n_max: int) -> bool:
     """Exact check that w_n < 1 + 1/n for every n up to n_max."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    for n in range(1, n_max + 1):
-        if w_exact(n).compare_to_fraction(Fraction(n + 1, n)) != -1:
+    for n, _, w in exact_ratios(n_max):
+        if w.compare_to_fraction(Fraction(n + 1, n)) != -1:
             return False
     return True
 

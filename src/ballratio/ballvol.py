@@ -1,17 +1,33 @@
-"""Exact unit-ball volume values and their infinite-product evaluations.
+"""Exact unit-ball volumes, the ratios v_n and w_n, and their product
+evaluators.
 
 Omega_n (volume of the unit n-ball), the ratio v_n = Omega_{n-1}/Omega_n,
 and the step ratio w_n = v_{n+1}/v_n are each a positive rational times an
-integer power of pi. This module keeps them in that form and converts to
-float only at the edge, so gap measurements against bounds never inherit
-product-truncation error. The infinite products are treated as
-approximations under test, never as oracles.
+integer power of pi, with closed forms in integers (C = C(2k, k)):
+
+    Omega_{2k} = pi^k / k!        Omega_{2k+1} = 2^{2k+1} k! pi^k / (2k+1)!
+    v_{2k}     = 4^k / (C pi)     v_{2k+1}     = (2k+1) C / 2^{2k+1}
+    w_n        = 2 pi v_{n+1}^2 / (n+1)
+
+C has exactly popcount(k) factors of 2 (Kummer), so shifting them out
+leaves every v_n mantissa an odd integer over a power of two or the
+reverse: it is in lowest terms without a gcd. `exact_ratios` walks v_n and
+w_n in order through v_{n+1} = (n+1)/(2 pi v_n) and
+w_{n+1} = (n+2)/((n+1) w_n), reducing each step with gcds against small
+integers. Nothing is tabulated, and no dimension above MAX_DIMENSION is
+accepted, so time and memory stay bounded for any input.
+
+Values stay exact and convert to float only at the edge, so gap
+measurements against bounds never inherit product-truncation error. The
+infinite products are treated as approximations under test, never as
+oracles.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,18 +42,28 @@ from .truncation import TruncationControl
 PI_LO = Fraction(31415926535897932384626433832795028, 10**34)
 PI_HI = PI_LO + Fraction(1, 10**34)
 
-_lock = threading.Lock()
-_FACT: list[int] = [1]  # _FACT[i] = i!
-_ODD: list[int] = [1, 1]  # _ODD[i] = (2i-1)!!, with (-1)!! = 1
+# Largest dimension the exact oracle accepts. Mantissas grow like n log n
+# bits and their cost a little faster than n^2: at the cap v_exact and
+# w_exact take about 0.2 s each (25 and 50 kB mantissas), and exact_ratios
+# walks to it in about 20 s.
+MAX_DIMENSION = 100_000
 
 
-def _grow(fact_upto: int, odd_upto: int) -> None:
-    with _lock:
-        while len(_FACT) <= fact_upto:
-            _FACT.append(_FACT[-1] * len(_FACT))
-        while len(_ODD) <= odd_upto:
-            i = len(_ODD)
-            _ODD.append(_ODD[-1] * (2 * i - 1))
+def _fraction(num: int, den: int, bound: int = 1) -> Fraction:
+    """num/den in lowest terms, for den > 0 and gcd(num, den) dividing the
+    small integer bound. Two gcds against small integers replace the big-int
+    gcd of the Fraction constructor, whose cost is quadratic in the digits."""
+    g = math.gcd(math.gcd(num, bound), den)
+    out = object.__new__(Fraction)  # the constructor would take the gcd again
+    out._numerator, out._denominator = num // g, den // g
+    return out
+
+
+def _check_dimension(n: int, least: int, name: str) -> None:
+    if n < least:
+        raise DomainError(f"{name} needs n >= {least}, got {n}")
+    if n > MAX_DIMENSION:
+        raise DomainError(f"{name} needs n <= {MAX_DIMENSION}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -51,14 +77,21 @@ class ExactBallValue:
         p = self.pi_power
         if -4 <= p <= 4:
             return float(self.mantissa) * math.pi**p
-        # big powers: fold pi into the rational before converting, else the
-        # two float factors can overflow/underflow pairwise (e.g. Omega_200)
-        if p > 0:
-            return float(self.mantissa * PI_LO**p)
-        return float(self.mantissa / PI_LO ** (-p))
+        # big powers: fold pi into the mantissa at 128 bits before rounding,
+        # else the two float factors can overflow/underflow pairwise (e.g.
+        # Omega_200); man / 2^-exp is correctly rounded, subnormals included
+        with mpmath.workprec(128):
+            x = mpmath.mpf(self.mantissa.numerator) / self.mantissa.denominator
+            man, exp = (x * mpmath.pi**p).man_exp
+        return man / (1 << -exp) if exp < 0 else float(man << exp)
 
     def symbolic(self) -> str:
-        return f"{self.mantissa} * pi^{self.pi_power}"
+        # decimal renders ints past the 4300-digit limit of int.__str__
+        m = self.mantissa
+        text = str(decimal.Decimal(m.numerator))
+        if m.denominator != 1:
+            text += f"/{decimal.Decimal(m.denominator)}"
+        return f"{text} * pi^{self.pi_power}"
 
     def compare_to_fraction(self, q) -> int:
         """Sign of (self - q) for rational q, decided rigorously.
@@ -85,54 +118,61 @@ class ExactBallValue:
         raise BallRatioError(f"pi brackets cannot separate {self.symbolic()} from {q}")
 
 
-_OMEGA: dict[int, ExactBallValue] = {}
-_V: dict[int, ExactBallValue] = {}
-_W: dict[int, ExactBallValue] = {}
+def _v(n: int) -> ExactBallValue:
+    k, odd = divmod(n, 2)
+    c = math.comb(2 * k, k) >> k.bit_count()  # the odd part of C(2k, k)
+    twos = 2 * k - k.bit_count()
+    if odd:
+        return ExactBallValue(_fraction((2 * k + 1) * c, 2 << twos), 0)
+    return ExactBallValue(_fraction(1 << twos, c), -1)
 
 
 def omega_exact(n: int) -> ExactBallValue:
-    """Volume of the unit n-ball; n >= 0, with Omega_0 = 1."""
-    if n < 0:
-        raise DomainError(f"dimension must be >= 0, got {n}")
-    val = _OMEGA.get(n)
-    if val is None:
-        k, odd = divmod(n, 2)
-        _grow(k, k + 1)
-        if odd:
-            # 2^{2k+1} k!/(2k+1)! reduced: (2k+1)! = (2k+1)!! 2^k k!
-            val = ExactBallValue(Fraction(2 ** (k + 1), _ODD[k + 1]), k)
-        else:
-            val = ExactBallValue(Fraction(1, _FACT[k]), k)
-        _OMEGA[n] = val
-    return val
+    """Volume of the unit n-ball; 0 <= n <= MAX_DIMENSION, with Omega_0 = 1."""
+    _check_dimension(n, 0, "Omega_n")
+    k, odd = divmod(n, 2)
+    f = math.factorial(k)
+    if not odd:
+        return ExactBallValue(_fraction(1, f), k)
+    # Omega_{2k+1} = Omega_{2k} / v_{2k+1} = 2^{2k+1} pi^k / ((2k+1) C k!),
+    # where C k! holds exactly k factors of 2 (popcount(k) in C, the rest in k!)
+    c = math.comb(2 * k, k) >> k.bit_count()
+    odd_den = (2 * k + 1) * c * (f >> (k - k.bit_count()))
+    return ExactBallValue(_fraction(2 << k, odd_den), k)
 
 
 def v_exact(n: int) -> ExactBallValue:
-    """v_n = Omega_{n-1}/Omega_n; n >= 1."""
-    if n < 1:
-        raise DomainError(f"v_n needs n >= 1, got {n}")
-    val = _V.get(n)
-    if val is None:
-        k, odd = divmod(n, 2)
-        _grow(k, k + 1)
-        if odd:
-            val = ExactBallValue(Fraction(_ODD[k + 1], 2 ** (k + 1) * _FACT[k]), 0)
-        else:
-            val = ExactBallValue(Fraction(2**k * _FACT[k], _ODD[k]), -1)
-        _V[n] = val
-    return val
+    """v_n = Omega_{n-1}/Omega_n; 1 <= n <= MAX_DIMENSION."""
+    _check_dimension(n, 1, "v_n")
+    return _v(n)
 
 
 def w_exact(n: int) -> ExactBallValue:
-    """w_n = v_{n+1}/v_n = Omega_n^2/(Omega_{n-1} Omega_{n+1}); n >= 1."""
-    if n < 1:
-        raise DomainError(f"w_n needs n >= 1, got {n}")
-    val = _W.get(n)
-    if val is None:
-        num, den = v_exact(n + 1), v_exact(n)
-        val = ExactBallValue(num.mantissa / den.mantissa, num.pi_power - den.pi_power)
-        _W[n] = val
-    return val
+    """w_n = v_{n+1}/v_n = Omega_n^2/(Omega_{n-1} Omega_{n+1}) = 2 pi v_{n+1}^2/(n+1);
+    1 <= n <= MAX_DIMENSION."""
+    _check_dimension(n, 1, "w_n")
+    v = _v(n + 1)
+    a, b = v.mantissa.numerator, v.mantissa.denominator
+    # gcd(2a^2, (n+1) b^2) divides 2(n+1), as a and b are coprime
+    return ExactBallValue(_fraction(2 * a * a, (n + 1) * b * b, 2 * (n + 1)),
+                          2 * v.pi_power + 1)
+
+
+def exact_ratios(n_max: int) -> Iterator[tuple[int, ExactBallValue, ExactBallValue]]:
+    """(n, v_n, w_n) for n = 1..n_max in order, each step from the last by
+    v_{n+1} = (n+1)/(2 pi v_n) and w_{n+1} = (n+2)/((n+1) w_n)."""
+    if n_max > MAX_DIMENSION:
+        raise DomainError(f"exact ratios need n <= {MAX_DIMENSION}, got {n_max}")
+    v = ExactBallValue(Fraction(1, 2), 0)
+    w = ExactBallValue(Fraction(4), -1)
+    for n in range(1, n_max + 1):
+        yield n, v, w
+        a, b = v.mantissa.numerator, v.mantissa.denominator
+        c, d = w.mantissa.numerator, w.mantissa.denominator
+        # gcd((n+1) b, 2a) divides 2(n+1); gcd((n+2) d, (n+1) c) divides (n+1)(n+2)
+        v = ExactBallValue(_fraction((n + 1) * b, 2 * a, 2 * (n + 1)), -1 - v.pi_power)
+        w = ExactBallValue(_fraction((n + 2) * d, (n + 1) * c, (n + 1) * (n + 2)),
+                           -w.pi_power)
 
 
 def v_product(n: int, ctrl: TruncationControl | None = None) -> float:

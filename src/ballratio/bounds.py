@@ -5,9 +5,11 @@ side, a target sequence, a minimum dimension, and an attribution string.
 Parameterized families (product truncates and their exponential
 refinements) additionally carry a truncation order m.
 
-Evaluation keeps rational prefactors exact until the final conversion;
-digamma/trigamma terms come from the closed forms in specfun, arranged so
-that gamma and log-4 contributions cancel exactly where they should.
+Evaluation keeps rational prefactors exact, as an integer numerator and
+denominator built in one small-int loop, until a single correctly rounded
+division; digamma/trigamma terms come from the closed forms in specfun,
+arranged so that gamma and log-4 contributions cancel exactly where they
+should.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import NamedTuple
 import mpmath
 
 from .errors import DomainError
-from .gautschi import joint_factor_truncate
-from .specfun import BETA, LOG4, digamma_diff, digamma_parts, trigamma_closed
+from .specfun import BETA, LOG4, digamma_diff, digamma_float_parts, trigamma_closed
 
 
 class _Family(NamedTuple):
@@ -172,40 +173,76 @@ def catalog(m_values: tuple[int, ...] = (1, 2, 3)) -> list[BoundSpec]:
     return specs
 
 
-def sigma_m(n: int, m: int) -> Fraction:
-    """sum_{k=1}^m 1/(k(2k+n-1)), exactly; m = 0 gives 0."""
+def _f_m(n: int, m: int) -> tuple[int, int]:
+    # joint factor k(x+k-1)/((k-a)(k+x+a-1)) at x = (n+1)/2, a = 1/2
+    p = q = 1
+    for k in range(1, m + 1):
+        p *= 2 * k * (n + 2 * k - 1)
+        q *= (2 * k - 1) * (n + 2 * k)
+    return p, q
+
+
+def _sigma(n: int, m: int) -> tuple[int, int]:
+    p, q = 0, 1
+    for k in range(1, m + 1):
+        d = k * (2 * k + n - 1)
+        p, q = p * d + q, q * d
+    return p, q
+
+
+def _s(n: int, m: int) -> tuple[int, int]:
+    p, q = 0, 1
+    for k in range(0, m + 1):
+        d = (2 * k - 1) * (2 * k + n)
+        p, q = p * d + q, q * d
+    return p, q
+
+
+def _w_trunc(n: int, m: int) -> tuple[int, int]:
+    p = q = 1
+    for k in range(1, m + 1):
+        t = 2 * k + n
+        p *= t * t
+        q *= t * t - 1
+    return p, q
+
+
+def _check_nm(n: int, m: int) -> None:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    return sum(
-        (Fraction(1, k * (2 * k + n - 1)) for k in range(1, m + 1)), Fraction(0)
-    )
+
+
+def sigma_m(n: int, m: int) -> Fraction:
+    """sum_{k=1}^m 1/(k(2k+n-1)), exactly; m = 0 gives 0."""
+    _check_nm(n, m)
+    return Fraction(*_sigma(n, m))
 
 
 def s_m(n: int, m: int) -> Fraction:
     """sum_{k=0}^m 1/((2k-1)(2k+n)), exactly; the k=0 term is -1/n."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    return sum(
-        (Fraction(1, (2 * k - 1) * (2 * k + n)) for k in range(0, m + 1)), Fraction(0)
-    )
+    _check_nm(n, m)
+    return Fraction(*_s(n, m))
 
 
 def f_m_exact(n: int, m: int) -> Fraction:
     """m-truncate of the joint factor at x = (n+1)/2, a = 1/2, as a Fraction."""
-    return joint_factor_truncate(Fraction(n + 1, 2), Fraction(1, 2), m)
+    if n < 0:
+        raise DomainError(f"x = (n+1)/2 must be positive, got n = {n}")
+    if m < 0:
+        raise DomainError(f"truncation order must be >= 0, got {m}")
+    return Fraction(*_f_m(n, m))
 
 
 def w_trunc_exact(n: int, m: int) -> Fraction:
     """prod_{k=1}^m (2k+n)^2/((2k+n)^2 - 1), exactly. Meant for small m."""
-    out = Fraction(1)
-    for k in range(1, m + 1):
-        t = 2 * k + n
-        out *= Fraction(t * t, t * t - 1)
-    return out
+    return Fraction(*_w_trunc(n, m))
+
+
+def _ratio(pq: tuple[int, int]) -> float:
+    # int true division is correctly rounded: the bits of float(Fraction(p, q))
+    return pq[0] / pq[1]
 
 
 def _v_lower_d(n: int, m: int) -> float:
@@ -214,18 +251,18 @@ def _v_lower_d(n: int, m: int) -> float:
     if n == 1:
         bracket = math.pi * math.pi / 12.0
     else:
-        rational, log4_count = digamma_parts(Fraction(n + 1, 2))
-        bracket = (float(rational) - log4_count * LOG4) / (n - 1)
-    e = 0.5 * n * (bracket - float(sigma_m(n, m)))
-    return float(f_m_exact(n, m)) / math.pi * math.exp(e)
+        rational, log4_count = digamma_float_parts(Fraction(n + 1, 2))
+        bracket = (rational - log4_count * LOG4) / (n - 1)
+    e = 0.5 * n * (bracket - _ratio(_sigma(n, m)))
+    return _ratio(_f_m(n, m)) / math.pi * math.exp(e)
 
 
 def _v_upper_h(n: int, m: int) -> float:
     # psi(n/2) - alpha = psi(n/2) - psi(3/2): gamma and log 4 cancel exactly,
     # so at n = 1 the difference is the integer -2
     diff = digamma_diff(Fraction(n, 2), Fraction(3, 2))
-    e = n * (diff / (2.0 * (n + 1)) - float(s_m(n, m)))
-    return float(f_m_exact(n, m)) / math.pi * math.exp(e)
+    e = n * (diff / (2.0 * (n + 1)) - _ratio(_s(n, m)))
+    return _ratio(_f_m(n, m)) / math.pi * math.exp(e)
 
 
 def eval_bound(bid: BoundId, n: int) -> float:
@@ -235,7 +272,7 @@ def eval_bound(bid: BoundId, n: int) -> float:
     key = (bid.target, bid.kind)
     m = bid.m
     if key == ("v", "lower-trunc"):
-        return float(f_m_exact(n, m)) / math.pi
+        return _ratio(_f_m(n, m)) / math.pi
     if key == ("v", "lower-d"):
         return _v_lower_d(n, m)
     if key == ("v", "lower-borgwardt"):
@@ -249,14 +286,14 @@ def eval_bound(bid: BoundId, n: int) -> float:
     if key == ("v", "upper-borgwardt"):
         return math.sqrt((n + 1) / (2.0 * math.pi))
     if key == ("w", "lower-trunc"):
-        return float(w_trunc_exact(n, m))
+        return _ratio(_w_trunc(n, m))
     if key == ("w", "lower-trigamma"):
         return math.exp(trigamma_closed(Fraction(n, 2)) / 4.0 - 1.0 / (n * n))
     if key == ("w", "lower-443"):
         return math.exp((n + 3) / (2.0 * (n + 2) ** 2))
     if key == ("w", "lower-p"):
-        pre = Fraction((n + 2) ** 2, (n + 1) * (n + 3))
-        return float(pre) * math.exp((n + 1) / (2.0 * (n + 2) ** 2))
+        pre = (n + 2) ** 2 / ((n + 1) * (n + 3))
+        return pre * math.exp((n + 1) / (2.0 * (n + 2) ** 2))
     if key == ("w", "lower-classic"):
         return math.sqrt(1.0 + 1.0 / (n + 1))
     if key == ("w", "upper-51"):
@@ -268,12 +305,12 @@ def eval_bound(bid: BoundId, n: int) -> float:
     if key == ("w", "upper-alzer"):
         return math.sqrt(1.0 + 1.0 / n)
     if key == ("w", "upper-refined"):
-        return float(w_trunc_exact(n, m)) * math.exp(0.5 / (n + 2 * m + 1))
+        return _ratio(_w_trunc(n, m)) * math.exp(0.5 / (n + 2 * m + 1))
     raise ValueError(f"unhandled bound family {key}")  # unreachable
 
 
-def _mpq(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
+def _mpq(pq: tuple[int, int]):
+    return mpmath.mpf(pq[0]) / pq[1]
 
 
 def eval_bound_mp(bid: BoundId, n: int, dps: int = 30):
@@ -286,34 +323,34 @@ def eval_bound_mp(bid: BoundId, n: int, dps: int = 30):
         mp = mpmath
         N = mp.mpf(n)
         if key == ("v", "lower-trunc"):
-            return _mpq(f_m_exact(n, m)) / mp.pi
+            return _mpq(_f_m(n, m)) / mp.pi
         if key == ("v", "lower-d"):
             if n == 1:
                 bracket = mp.pi**2 / 12
             else:
                 bracket = (mp.digamma((N + 1) / 2) + mp.euler) / (N - 1)
-            e = N / 2 * (bracket - _mpq(sigma_m(n, m)))
-            return _mpq(f_m_exact(n, m)) / mp.pi * mp.exp(e)
+            e = N / 2 * (bracket - _mpq(_sigma(n, m)))
+            return _mpq(_f_m(n, m)) / mp.pi * mp.exp(e)
         if key == ("v", "lower-borgwardt"):
             return mp.sqrt(N / (2 * mp.pi))
         if key == ("v", "lower-alzer"):
             return mp.sqrt((N + mp.mpf(1) / 2) / (2 * mp.pi))
         if key == ("v", "upper-h"):
             alpha = mp.digamma(mp.mpf(3) / 2)
-            e = N * ((mp.digamma(N / 2) - alpha) / (2 * (N + 1)) - _mpq(s_m(n, m)))
-            return _mpq(f_m_exact(n, m)) / mp.pi * mp.exp(e)
+            e = N * ((mp.digamma(N / 2) - alpha) / (2 * (N + 1)) - _mpq(_s(n, m)))
+            return _mpq(_f_m(n, m)) / mp.pi * mp.exp(e)
         if key == ("v", "upper-alzer"):
             return mp.sqrt((N + mp.pi / 2 - 1) / (2 * mp.pi))
         if key == ("v", "upper-borgwardt"):
             return mp.sqrt((N + 1) / (2 * mp.pi))
         if key == ("w", "lower-trunc"):
-            return _mpq(w_trunc_exact(n, m))
+            return _mpq(_w_trunc(n, m))
         if key == ("w", "lower-trigamma"):
             return mp.exp(mp.polygamma(1, N / 2) / 4 - 1 / N**2)
         if key == ("w", "lower-443"):
             return mp.exp((N + 3) / (2 * (N + 2) ** 2))
         if key == ("w", "lower-p"):
-            pre = _mpq(Fraction((n + 2) ** 2, (n + 1) * (n + 3)))
+            pre = mp.mpf((n + 2) ** 2) / ((n + 1) * (n + 3))
             return pre * mp.exp((N + 1) / (2 * (N + 2) ** 2))
         if key == ("w", "lower-classic"):
             return mp.sqrt(1 + 1 / (N + 1))
@@ -326,5 +363,5 @@ def eval_bound_mp(bid: BoundId, n: int, dps: int = 30):
         if key == ("w", "upper-alzer"):
             return mp.sqrt(1 + 1 / N)
         if key == ("w", "upper-refined"):
-            return _mpq(w_trunc_exact(n, m)) * mp.exp(mp.mpf(1) / (2 * (N + 2 * m + 1)))
+            return _mpq(_w_trunc(n, m)) * mp.exp(mp.mpf(1) / (2 * (N + 2 * m + 1)))
     raise ValueError(f"unhandled bound family {key}")  # unreachable

@@ -8,18 +8,28 @@ functions have closed forms built from finite rational sums:
     psi'(m)      = pi^2/6 - sum_{j=1}^{m-1} 1/j^2
     psi'(m+1/2)  = pi^2/2 - 4 * sum_{j=1}^{m} 1/(2j-1)^2
 
-The rational sums are accumulated exactly (fractions.Fraction) and cached
-cumulatively, so repeated evaluation over a long n-sweep costs one new term
-per step. Conversion to float happens once, at the end. The generic series
-representation of psi(x+1) is kept as an independent cross-check and for
-non-half-integer arguments; its K-term partial sum is evaluated in closed
-form, psi(x+1) - psi(K+x+1) + psi(K+1), so any K costs the same.
+digamma_parts/trigamma_parts return those sums exactly, summed on demand
+by binary splitting; no evaluation path uses them. The doubles come from
+values carried to about 100 bits and rounded once, memoised per argument
+(memory linear in the number of arguments seen):
+
+- the rational part of psi, H_{m-1} or 2 H_{2m} - H_m, from 30-digit
+  mpmath, so that gamma and log 4 still cancel exactly in differences;
+- psi' itself, in 128-bit integer fixed point (recurrence, then the
+  asymptotic series): pi^2/6 minus the sum would lose about log10(x)
+  digits to cancellation in double.
+
+The generic series representation of psi(x+1) is kept as an independent
+cross-check and for non-half-integer arguments; its K-term partial sum is
+evaluated in closed form, psi(x+1) - psi(K+x+1) + psi(K+1), so any K costs
+the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
+from collections.abc import Sequence
 from fractions import Fraction
 
 import mpmath
@@ -33,35 +43,20 @@ LOG4 = math.log(4.0)
 ALPHA = 2.0 - EULER_GAMMA - LOG4  # = psi(3/2) = psi(-1/2)
 BETA = PI / 2.0 - 1.0
 
-_lock = threading.Lock()
-# cumulative rational sums, index j holds sum of the first j terms
-_HARMONIC: list[Fraction] = [Fraction(0)]  # 1/i
-_ODD_HARMONIC: list[Fraction] = [Fraction(0)]  # 1/(2i-1)
-_SQUARES: list[Fraction] = [Fraction(0)]  # 1/i^2
-_ODD_SQUARES: list[Fraction] = [Fraction(0)]  # 1/(2i-1)^2
-_PSI_FLOAT: dict[int, float] = {}
-_TRIGAMMA_FLOAT: dict[int, float] = {}
-
-
-def _grow(cache: list[Fraction], upto: int, term) -> None:
-    if len(cache) > upto:
-        return
-    with _lock:
-        j = len(cache)
-        while j <= upto:
-            cache.append(cache[-1] + term(j))
-            j += 1
+_DPS = 30  # digits of the memoised digamma values, rounded once to a double
+_ASYMPTOTIC_X = 32
+_BERNOULLI = tuple(mpmath.bernfrac(2 * k) for k in range(1, 14))  # B_2..B_26 as (p, q)
 
 
 def _twice(x) -> int:
     """Return 2x for a half-integer x >= 1/2, rejecting everything else."""
     try:
-        tx = 2 * Fraction(x)
+        q = Fraction(x)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"expected a half-integer, got {x!r}") from exc
-    if tx.denominator != 1:
+    t, rest = divmod(2 * q.numerator, q.denominator)
+    if rest:
         raise DomainError(f"expected a half-integer, got {x!r}")
-    t = tx.numerator
     if t < 1:
         raise DomainError(f"expected an argument >= 1/2, got {x!r}")
     return t
@@ -74,6 +69,20 @@ def is_half_integer(x) -> bool:
         return False
 
 
+def _reciprocal_sum(dens: Sequence[int]) -> Fraction:
+    """sum of 1/d over dens, exactly, by binary splitting."""
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo == 1:
+            return 1, dens[lo]
+        mid = (lo + hi) // 2
+        p1, q1 = split(lo, mid)
+        p2, q2 = split(mid, hi)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    return Fraction(*split(0, len(dens))) if dens else Fraction(0)
+
+
 def digamma_parts(x) -> tuple[Fraction, int]:
     """Exact decomposition psi(x) = rational - gamma - log4_count * log(4).
 
@@ -84,57 +93,74 @@ def digamma_parts(x) -> tuple[Fraction, int]:
     """
     t = _twice(x)
     if t % 2 == 0:
+        return _reciprocal_sum(range(1, t // 2)), 0
+    return 2 * _reciprocal_sum(range(1, t, 2)), 1
+
+
+@functools.cache
+def _psi_rational(t: int) -> mpmath.mpf:
+    """The rational part of psi(t/2) (see digamma_parts) to _DPS digits."""
+    with mpmath.workdps(_DPS):
         m = t // 2
-        _grow(_HARMONIC, m - 1, lambda j: Fraction(1, j))
-        return _HARMONIC[m - 1], 0
-    m = (t - 1) // 2
-    _grow(_ODD_HARMONIC, m, lambda j: Fraction(1, 2 * j - 1))
-    return 2 * _ODD_HARMONIC[m], 1
+        if t % 2 == 0:
+            return mpmath.harmonic(m - 1)
+        return 2 * mpmath.harmonic(2 * m) - mpmath.harmonic(m)
+
+
+def digamma_float_parts(x) -> tuple[float, int]:
+    """digamma_parts(x) with the rational part rounded once to a double."""
+    t = _twice(x)
+    return float(_psi_rational(t)), t % 2
 
 
 def digamma_closed(x) -> float:
     """psi at a half-integer x >= 1/2, from the exact closed form."""
-    t = _twice(x)
-    val = _PSI_FLOAT.get(t)
-    if val is None:
-        rational, log4s = digamma_parts(Fraction(t, 2))
-        val = float(rational) - EULER_GAMMA - log4s * LOG4
-        _PSI_FLOAT[t] = val
-    return val
+    rational, log4s = digamma_float_parts(x)
+    return rational - EULER_GAMMA - log4s * LOG4
 
 
 def digamma_diff(u, v) -> float:
     """psi(u) - psi(v) for half-integers u, v >= 1/2.
 
     gamma always cancels; log 4 cancels whenever u and v have the same
-    parity, leaving a single exact rational in that case.
+    parity, leaving a single rational, rounded once, in that case.
     """
-    ru, cu = digamma_parts(u)
-    rv, cv = digamma_parts(v)
-    return float(ru - rv) - (cu - cv) * LOG4
+    tu, tv = _twice(u), _twice(v)
+    with mpmath.workdps(_DPS):
+        rational = _psi_rational(tu) - _psi_rational(tv)
+    return float(rational) - (tu % 2 - tv % 2) * LOG4
 
 
 def trigamma_parts(x) -> tuple[Fraction, Fraction]:
     """Exact decomposition psi'(x) = pi2_coeff * pi^2 - rational."""
     t = _twice(x)
     if t % 2 == 0:
-        m = t // 2
-        _grow(_SQUARES, m - 1, lambda j: Fraction(1, j * j))
-        return Fraction(1, 6), _SQUARES[m - 1]
-    m = (t - 1) // 2
-    _grow(_ODD_SQUARES, m, lambda j: Fraction(1, (2 * j - 1) ** 2))
-    return Fraction(1, 2), 4 * _ODD_SQUARES[m]
+        return Fraction(1, 6), _reciprocal_sum([j * j for j in range(1, t // 2)])
+    return Fraction(1, 2), 4 * _reciprocal_sum([j * j for j in range(1, t, 2)])
+
+
+@functools.cache
+def _trigamma(t: int) -> float:
+    """psi'(t/2) in 128-bit fixed point, rounded once: the recurrence
+    psi'(x) = psi'(x+1) + 1/x^2 up to x >= _ASYMPTOTIC_X, then the asymptotic
+    series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (DLMF 5.15.8) through
+    B_26, whose first omitted term is below 2^-115 of the value there."""
+    one = 1 << 128
+    s = 0
+    while t < 2 * _ASYMPTOTIC_X:
+        s += (one << 2) // (t * t)  # 1/x^2 = 4/t^2
+        t += 2
+    s += (one << 1) // t + (one << 1) // (t * t)  # 1/x + 1/(2x^2)
+    power = t
+    for k, (p, q) in enumerate(_BERNOULLI, 1):
+        power *= t * t  # t^(2k+1)
+        s += (one * p << (2 * k + 1)) // (q * power)
+    return s / one
 
 
 def trigamma_closed(x) -> float:
-    """psi' at a half-integer x >= 1/2, from the exact closed form."""
-    t = _twice(x)
-    val = _TRIGAMMA_FLOAT.get(t)
-    if val is None:
-        coeff, rational = trigamma_parts(Fraction(t, 2))
-        val = float(coeff) * (PI * PI) - float(rational)
-        _TRIGAMMA_FLOAT[t] = val
-    return val
+    """psi' at a half-integer x >= 1/2, to within one rounding."""
+    return _trigamma(_twice(x))
 
 
 def _series_partial(x: float, terms: int) -> float:

@@ -1,6 +1,7 @@
 """Exact unit-ball volumes, the two ratio sequences, and their product
 evaluators."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -162,3 +163,77 @@ def test_product_domains():
             fn(0)
         with pytest.raises(DomainError):
             fn(-2)
+
+
+def _parts(value):
+    return value.mantissa.numerator, value.mantissa.denominator, value.pi_power
+
+
+def test_exact_ratios_walk_matches_closed_forms():
+    walked = {n: (v, w) for n, v, w in bv.exact_ratios(10_000)}
+    assert sorted(walked) == list(range(1, 10_001))
+    for n in [*range(1, 2001), 9999, 10_000]:
+        v, w = walked[n]
+        assert _parts(v) == _parts(bv.v_exact(n)), n
+        assert _parts(w) == _parts(bv.w_exact(n)), n
+        for value in (v, w):  # in lowest terms, as the constructor would leave it
+            assert math.gcd(value.mantissa.numerator, value.mantissa.denominator) == 1
+
+
+def test_omega_matches_factorial_formula():
+    # Omega_{2k} = pi^k/k!, Omega_{2k+1} = 2^{2k+1} k! pi^k/(2k+1)!, reduced
+    # by the Fraction constructor
+    for n in range(0, 601):
+        k, odd = divmod(n, 2)
+        if odd:
+            want = Fraction(2 ** (2 * k + 1) * math.factorial(k), math.factorial(2 * k + 1))
+        else:
+            want = Fraction(1, math.factorial(k))
+        got = bv.omega_exact(n)
+        assert (got.mantissa.numerator, got.mantissa.denominator) == (want.numerator,
+                                                                        want.denominator)
+        assert got.pi_power == k
+
+
+def test_to_real_big_powers_round_like_the_exact_bracket():
+    # the exact product with the 34-digit PI_LO, rounded once, is the reference;
+    # n = 400..460 crosses the subnormal range and the underflow to 0.0
+    for n in range(10, 461):  # pi powers 5..230
+        om = bv.omega_exact(n)
+        assert om.to_real() == float(om.mantissa * bv.PI_LO**om.pi_power), n
+    assert bv.omega_exact(20_000).to_real() == 0.0
+
+
+def test_symbolic_renders_beyond_the_int_string_limit():
+    text = bv.omega_exact(20_000).symbolic()
+    num, _, rest = text.partition("/")
+    den, _, power = rest.partition(" * pi^")
+    assert num == "1" and power == "10000"
+    assert int(decimal.Decimal(den)) == math.factorial(10_000)  # 35,660 digits
+
+
+def test_dimension_cap():
+    top = bv.MAX_DIMENSION
+    for fn in (bv.omega_exact, bv.v_exact, bv.w_exact):
+        with pytest.raises(DomainError):
+            fn(top + 1)
+    with pytest.raises(DomainError):
+        next(bv.exact_ratios(top + 1))
+    a, b = bv.v_exact(top - 1), bv.v_exact(top)
+    assert a.mantissa * b.mantissa == Fraction(top, 2)
+
+
+def test_oracle_memory_stays_small():
+    import tracemalloc
+
+    from ballratio import specfun
+
+    tracemalloc.start()
+    try:
+        bv.v_exact(30_000)
+        bv.w_exact(29_999)
+        specfun.trigamma_closed(Fraction(30_001, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

@@ -207,3 +207,48 @@ def test_mp_twin_agrees_with_float_path():
 def test_mp_twin_min_n_rejection():
     with pytest.raises(DomainError):
         B.eval_bound_mp(B.W_UPPER_MERKLE_Q, 1)
+
+
+def _exact_reference(bid, n):
+    """The catalog formula over exact Fractions, rounded where eval_bound rounds."""
+    from ballratio import specfun as sf
+    from ballratio.gautschi import joint_factor_truncate
+
+    m = bid.m
+    half = Fraction(1, 2)
+    f = float(joint_factor_truncate(Fraction(n + 1, 2), half, m or 0))
+    w = 1.0
+    if bid.target == "w" and m is not None:
+        w = float(math.prod(Fraction((2 * k + n) ** 2, (2 * k + n) ** 2 - 1)
+                            for k in range(1, m + 1)))
+    if bid.kind == "lower-trunc":
+        return f / math.pi if bid.target == "v" else w
+    if bid.kind == "lower-d":
+        if n == 1:
+            bracket = math.pi * math.pi / 12.0
+        else:
+            rational, log4s = sf.digamma_parts(Fraction(n + 1, 2))
+            bracket = (float(rational) - log4s * sf.LOG4) / (n - 1)
+        sigma = sum((Fraction(1, k * (2 * k + n - 1)) for k in range(1, m + 1)), Fraction(0))
+        return f / math.pi * math.exp(0.5 * n * (bracket - float(sigma)))
+    if bid.kind == "upper-h":
+        ru, cu = sf.digamma_parts(Fraction(n, 2))
+        rv, cv = sf.digamma_parts(Fraction(3, 2))
+        diff = float(ru - rv) - (cu - cv) * sf.LOG4
+        s = sum((Fraction(1, (2 * k - 1) * (2 * k + n)) for k in range(0, m + 1)), Fraction(0))
+        return f / math.pi * math.exp(n * (diff / (2.0 * (n + 1)) - float(s)))
+    if bid.kind == "upper-refined":
+        return w * math.exp(0.5 / (n + 2 * m + 1))
+    assert bid == B.W_LOWER_P
+    pre = Fraction((n + 2) ** 2, (n + 1) * (n + 3))
+    return float(pre) * math.exp((n + 1) / (2.0 * (n + 2) ** 2))
+
+
+def test_integer_truncates_match_the_fraction_formulas():
+    ids = [B.W_LOWER_P]
+    for m in (1, 2, 3):
+        ids += [B.V_LOWER_TRUNC(m), B.V_LOWER_D(m), B.V_UPPER_H(m),
+                B.W_LOWER_TRUNC(m), B.W_UPPER_REFINED(m)]
+    for bid in ids:
+        for n in range(1, 501):
+            assert B.eval_bound(bid, n) == _exact_reference(bid, n), (bid.label(), n)

@@ -2,11 +2,19 @@
 determinism, and the injected-fault path for verify."""
 
 import csv
+import decimal
 import io
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 
+import ballratio
 from ballratio import analysis
 from ballratio import ballvol as bv
 from ballratio.analysis import EvaluationRecord
@@ -213,3 +221,35 @@ def test_crossover_needs_exactly_two_ids(capsys):
 def test_negative_dimension_exits_three(capsys):
     rc, _, _ = run_cli(capsys, ["volume", "--n", "-2"])
     assert rc == 3
+
+
+def test_volume_prints_omega_past_the_int_string_limit(capsys):
+    rc, out, err = run_cli(capsys, ["volume", "--n", "3,20000", "--format", "csv"])
+    assert rc == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][1] == "4/3 * pi^1"
+    num, _, rest = rows[2][1].partition("/")
+    den, _, power = rest.partition(" * pi^")
+    assert (num, power) == ("1", "10000")
+    assert int(decimal.Decimal(den)) == math.factorial(10_000)
+    assert float(rows[2][2]) == 0.0  # Omega_20000 underflows
+
+
+def test_dimension_above_cap_exits_three_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["volume", "--n", "1000000000"])
+    assert rc == 3 and out == "" and "100000" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_bounds_at_the_cap_fit_in_one_gigabyte():
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ballratio.__file__)))
+    argv = [sys.executable, "-m", "ballratio.cli", "bounds", "--target", "v",
+            "--n", str(bv.MAX_DIMENSION), "--format", "csv"]
+    proc = subprocess.run(argv, env=env, preexec_fn=limit_address_space,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith(f"{bv.MAX_DIMENSION},")

@@ -194,3 +194,25 @@ def test_inequality_domains():
             fn(0)
         with pytest.raises(DomainError):
             fn(-1.5)
+
+
+def test_trigamma_closed_matches_40_digit_mpmath():
+    # every half-integer through 1000, then a stride up to 15000.5
+    import mpmath
+
+    for t in [*range(1, 2001), *range(2001, 30_002, 50)]:
+        got = sf.trigamma_closed(Fraction(t, 2))
+        with mpmath.workdps(40):
+            want = mpmath.psi(1, mpmath.mpf(t) / 2)
+            assert abs(got - want) <= 1e-15 * want, t
+
+
+def test_float_parts_round_the_exact_parts_once():
+    # the exact binary-splitting sums, rounded once, are the reference
+    for t in [*range(1, 401), 2001, 2002, 5001, 5002]:
+        x = Fraction(t, 2)
+        rational, log4s = sf.digamma_parts(x)
+        assert sf.digamma_float_parts(x) == (float(rational), log4s)
+        assert sf.digamma_closed(x) == float(rational) - sf.EULER_GAMMA - log4s * sf.LOG4
+        r3, c3 = sf.digamma_parts(Fraction(3, 2))
+        assert sf.digamma_diff(x, Fraction(3, 2)) == float(rational - r3) - (log4s - c3) * sf.LOG4
