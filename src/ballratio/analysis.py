@@ -83,11 +83,10 @@ def _sharper_at(a: BoundId, b: BoundId, n: int, upper: bool) -> bool | None:
     """True if a is strictly sharper at n, False if b is, None on a tie."""
     va, vb = eval_bound(a, n), eval_bound(b, n)
     if abs(va - vb) < _RECHECK_REL * max(1.0, abs(va), abs(vb)):
-        with mpmath.workdps(30):
-            ma, mb = eval_bound_mp(a, n), eval_bound_mp(b, n)
-            if ma == mb:
-                return None
-            return (ma < mb) if upper else (ma > mb)
+        ma, mb = eval_bound_mp(a, n), eval_bound_mp(b, n)
+        if ma == mb:
+            return None
+        return (ma < mb) if upper else (ma > mb)
     return (va < vb) if upper else (va > vb)
 
 

@@ -59,6 +59,29 @@ def _fraction(num: int, den: int, bound: int = 1) -> Fraction:
     return out
 
 
+def _decimal(n: int) -> decimal.Decimal:
+    """Decimal(n) for n >= 0, past the 4300-digit limit of int.__str__.
+
+    Decimal(int) alone is quadratic in the digits, so n is split at powers
+    of two down to 4096 bits and recombined in an unbounded context, at the
+    cost of Decimal's subquadratic multiplication."""
+    pow2: dict[int, decimal.Decimal] = {}
+
+    def split(n: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:
+            return decimal.Decimal(n)
+        half = bits // 2
+        high = n >> half
+        if half not in pow2:
+            pow2[half] = decimal.Decimal(2) ** half
+        return split(n - (high << half), half) + split(high, bits - half) * pow2[half]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return split(n, n.bit_length())
+
+
 def _check_dimension(n: int, least: int, name: str) -> None:
     if n < least:
         raise DomainError(f"{name} needs n >= {least}, got {n}")
@@ -86,35 +109,36 @@ class ExactBallValue:
         return man / (1 << -exp) if exp < 0 else float(man << exp)
 
     def symbolic(self) -> str:
-        # decimal renders ints past the 4300-digit limit of int.__str__
         m = self.mantissa
-        text = str(decimal.Decimal(m.numerator))
+        text = str(_decimal(m.numerator))
         if m.denominator != 1:
-            text += f"/{decimal.Decimal(m.denominator)}"
+            text += f"/{_decimal(m.denominator)}"
         return f"{text} * pi^{self.pi_power}"
 
     def compare_to_fraction(self, q) -> int:
         """Sign of (self - q) for rational q, decided rigorously.
 
         Bracketing pi between PI_LO and PI_HI turns the comparison into two
-        exact rational ones; an undecidable case (q inside the bracket
-        interval) raises rather than guessing.
+        integer cross-multiplications, with no gcd; an undecidable case (q
+        inside the bracket interval) raises rather than guessing.
         """
         q = Fraction(q)
-        if self.pi_power == 0:
-            m = self.mantissa
-            return (m > q) - (m < q)
+        a, b = self.mantissa.numerator, self.mantissa.denominator
+        c, d = q.numerator, q.denominator
         p = self.pi_power
-        if p > 0:
-            lo, hi = self.mantissa * PI_LO**p, self.mantissa * PI_HI**p
-        else:
-            lo, hi = self.mantissa / PI_HI ** (-p), self.mantissa / PI_LO ** (-p)
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo > q:
-            return 1
-        if hi < q:
-            return -1
+        if p == 0:
+            left, right = a * d, c * b
+            return (left > right) - (left < right)
+        signs = []
+        for end in (PI_LO, PI_HI):
+            num, den = end.numerator ** abs(p), end.denominator ** abs(p)
+            if p < 0:
+                num, den = den, num
+            # at this end of the bracket self is a num / (b den), with b, den, d > 0
+            left, right = a * num * d, c * b * den
+            signs.append((left > right) - (left < right))
+        if signs[0] == signs[1] != 0:
+            return signs[0]
         raise BallRatioError(f"pi brackets cannot separate {self.symbolic()} from {q}")
 
 

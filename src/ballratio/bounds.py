@@ -1,15 +1,22 @@
 """Catalog of lower/upper bounds for v_n and w_n, evaluable at any valid n.
 
 Every bound family gets a stable kebab-case token (the CLI contract), a
-side, a target sequence, a minimum dimension, and an attribution string.
-Parameterized families (product truncates and their exponential
-refinements) additionally carry a truncation order m.
+side, a target sequence, a minimum dimension, an attribution string, and
+its formula. Parameterized families (product truncates and their
+exponential refinements) additionally carry a truncation order m.
 
-Evaluation keeps rational prefactors exact, as an integer numerator and
-denominator built in one small-int loop, until a single correctly rounded
-division; digamma/trigamma terms come from the closed forms in specfun,
-arranged so that gamma and log-4 contributions cancel exactly where they
-should.
+Each formula is written once, as a function (B, N, n, m) of a backend B,
+the dimension as the backend's number N and as the int n, and the order m.
+Rational prefactors are integer pairs (numerator, denominator), built in
+one small-int loop; digamma and trigamma are taken at half-integers, also
+given as pairs. Two backends run the formulas:
+
+- FLOAT (eval_bound): doubles. Each pair is rounded by a single correctly
+  rounded division, and psi/psi' come from the closed forms in specfun,
+  arranged so that gamma and log-4 contributions cancel exactly where
+  they should.
+- MP (eval_bound_mp): mpmath at a chosen precision, for near-tie
+  adjudication.
 """
 
 from __future__ import annotations
@@ -17,12 +24,77 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import mpmath
 
 from .errors import DomainError
-from .specfun import BETA, LOG4, digamma_diff, digamma_float_parts, trigamma_closed
+from .specfun import LOG4, digamma_diff, digamma_float_parts, trigamma_closed
+
+
+def _f_m(n: int, m: int) -> tuple[int, int]:
+    # joint factor k(x+k-1)/((k-a)(k+x+a-1)) at x = (n+1)/2, a = 1/2
+    p = q = 1
+    for k in range(1, m + 1):
+        p *= 2 * k * (n + 2 * k - 1)
+        q *= (2 * k - 1) * (n + 2 * k)
+    return p, q
+
+
+def _sigma(n: int, m: int) -> tuple[int, int]:
+    p, q = 0, 1
+    for k in range(1, m + 1):
+        d = k * (2 * k + n - 1)
+        p, q = p * d + q, q * d
+    return p, q
+
+
+def _s(n: int, m: int) -> tuple[int, int]:
+    p, q = 0, 1
+    for k in range(0, m + 1):
+        d = (2 * k - 1) * (2 * k + n)
+        p, q = p * d + q, q * d
+    return p, q
+
+
+def _w_trunc(n: int, m: int) -> tuple[int, int]:
+    p = q = 1
+    for k in range(1, m + 1):
+        t = 2 * k + n
+        p *= t * t
+        q *= t * t - 1
+    return p, q
+
+
+def _psi_gamma_float(x: Fraction) -> float:
+    # psi(x) + gamma = rational - log4_count * log 4: gamma cancels exactly
+    rational, log4_count = digamma_float_parts(x)
+    return rational - log4_count * LOG4
+
+
+# psi(x) + gamma, psi(u) - psi(v) and psi'(x) at half-integers given as
+# (p, q) pairs. The specfun functions are looked up by name at call time,
+# so perfbench's tracer, which rebinds module names, still sees the calls.
+FLOAT = SimpleNamespace(
+    pi=math.pi,
+    sqrt=math.sqrt,
+    exp=math.exp,
+    ratio=lambda pq: pq[0] / pq[1],  # int true division rounds once, correctly
+    psi_gamma=lambda x: _psi_gamma_float(Fraction(*x)),
+    psi_diff=lambda u, v: digamma_diff(Fraction(*u), Fraction(*v)),
+    trigamma=lambda x: trigamma_closed(Fraction(*x)),
+)
+
+MP = SimpleNamespace(
+    pi=mpmath.pi,
+    sqrt=mpmath.sqrt,
+    exp=mpmath.exp,
+    ratio=lambda pq: mpmath.mpf(pq[0]) / pq[1],
+    psi_gamma=lambda x: mpmath.digamma(MP.ratio(x)) + mpmath.euler,
+    psi_diff=lambda u, v: mpmath.digamma(MP.ratio(u)) - mpmath.digamma(MP.ratio(v)),
+    trigamma=lambda x: mpmath.polygamma(1, MP.ratio(x)),
+)
 
 
 class _Family(NamedTuple):
@@ -32,26 +104,52 @@ class _Family(NamedTuple):
     parametric: bool
     min_n: int
     citation: str
+    formula: Callable  # (B, N, n, m) -> the bound's value in backend B
 
 
 _FAMILIES: tuple[_Family, ...] = (
-    _Family("v", "lower-trunc", "lower", True, 1, "truncated product"),
-    _Family("v", "lower-d", "lower", True, 1, "digamma-exponential refinement"),
-    _Family("v", "lower-borgwardt", "lower", False, 1, "Borgwardt (1987)"),
-    _Family("v", "lower-alzer", "lower", False, 1, "Alzer"),
-    _Family("v", "upper-h", "upper", True, 1, "digamma-exponential upper bound"),
-    _Family("v", "upper-alzer", "upper", False, 1, "Alzer"),
-    _Family("v", "upper-borgwardt", "upper", False, 1, "Borgwardt (1987), shifted index"),
-    _Family("w", "lower-trunc", "lower", True, 1, "truncated product"),
-    _Family("w", "lower-trigamma", "lower", False, 1, "trigamma-exponential"),
-    _Family("w", "lower-443", "lower", False, 1, "plain exponential lower bound"),
-    _Family("w", "lower-p", "lower", False, 1, "product-exponential refinement"),
-    _Family("w", "lower-classic", "lower", False, 1, "classical square-root bound"),
-    _Family("w", "upper-51", "upper", False, 1, "exponential upper bound"),
-    _Family("w", "upper-merkle", "upper", False, 1, "Merkle"),
-    _Family("w", "upper-merkle-q", "upper", False, 2, "Merkle, quartic-root form"),
-    _Family("w", "upper-alzer", "upper", False, 1, "Alzer"),
-    _Family("w", "upper-refined", "upper", True, 1, "truncate times exponential tail cap"),
+    _Family("v", "lower-trunc", "lower", True, 1, "truncated product",
+            lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi),
+    # (psi((n+1)/2) + gamma)/(n-1) has a removable singularity at n = 1,
+    # patched with the exact limit psi'(1)/2 = pi^2/12
+    _Family("v", "lower-d", "lower", True, 1, "digamma-exponential refinement",
+            lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi * B.exp(N / 2 * (
+                (B.pi * B.pi / 12 if n == 1 else B.psi_gamma((n + 1, 2)) / (N - 1))
+                - B.ratio(_sigma(n, m))))),
+    _Family("v", "lower-borgwardt", "lower", False, 1, "Borgwardt (1987)",
+            lambda B, N, n, m: B.sqrt(N / (2 * B.pi))),
+    _Family("v", "lower-alzer", "lower", False, 1, "Alzer",
+            lambda B, N, n, m: B.sqrt((N + 0.5) / (2 * B.pi))),
+    # psi(n/2) - alpha = psi(n/2) - psi(3/2): gamma and log 4 cancel exactly,
+    # so at n = 1 the difference is the integer -2
+    _Family("v", "upper-h", "upper", True, 1, "digamma-exponential upper bound",
+            lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi * B.exp(N * (
+                B.psi_diff((n, 2), (3, 2)) / (2 * (N + 1)) - B.ratio(_s(n, m))))),
+    _Family("v", "upper-alzer", "upper", False, 1, "Alzer",
+            lambda B, N, n, m: B.sqrt((N + (B.pi / 2 - 1)) / (2 * B.pi))),
+    _Family("v", "upper-borgwardt", "upper", False, 1, "Borgwardt (1987), shifted index",
+            lambda B, N, n, m: B.sqrt((N + 1) / (2 * B.pi))),
+    _Family("w", "lower-trunc", "lower", True, 1, "truncated product",
+            lambda B, N, n, m: B.ratio(_w_trunc(n, m))),
+    _Family("w", "lower-trigamma", "lower", False, 1, "trigamma-exponential",
+            lambda B, N, n, m: B.exp(B.trigamma((n, 2)) / 4 - 1 / (N * N))),
+    _Family("w", "lower-443", "lower", False, 1, "plain exponential lower bound",
+            lambda B, N, n, m: B.exp((N + 3) / (2 * (N + 2) * (N + 2)))),
+    _Family("w", "lower-p", "lower", False, 1, "product-exponential refinement",
+            lambda B, N, n, m: B.ratio(((n + 2) ** 2, (n + 1) * (n + 3)))
+            * B.exp((N + 1) / (2 * (N + 2) * (N + 2)))),
+    _Family("w", "lower-classic", "lower", False, 1, "classical square-root bound",
+            lambda B, N, n, m: B.sqrt(1 + 1 / (N + 1))),
+    _Family("w", "upper-51", "upper", False, 1, "exponential upper bound",
+            lambda B, N, n, m: B.exp(1 / (2 * (N + 1)))),
+    _Family("w", "upper-merkle", "upper", False, 1, "Merkle",
+            lambda B, N, n, m: (N + 2) ** 1.5 / ((N + 1) * B.sqrt(N + 3))),
+    _Family("w", "upper-merkle-q", "upper", False, 2, "Merkle, quartic-root form",
+            lambda B, N, n, m: (1 + 2 / N) ** 0.25),
+    _Family("w", "upper-alzer", "upper", False, 1, "Alzer",
+            lambda B, N, n, m: B.sqrt(1 + 1 / N)),
+    _Family("w", "upper-refined", "upper", True, 1, "truncate times exponential tail cap",
+            lambda B, N, n, m: B.ratio(_w_trunc(n, m)) * B.exp(1 / (2 * (N + 2 * m + 1)))),
 )
 
 _BY_KEY: dict[tuple[str, str], _Family] = {(f.target, f.kind): f for f in _FAMILIES}
@@ -173,40 +271,6 @@ def catalog(m_values: tuple[int, ...] = (1, 2, 3)) -> list[BoundSpec]:
     return specs
 
 
-def _f_m(n: int, m: int) -> tuple[int, int]:
-    # joint factor k(x+k-1)/((k-a)(k+x+a-1)) at x = (n+1)/2, a = 1/2
-    p = q = 1
-    for k in range(1, m + 1):
-        p *= 2 * k * (n + 2 * k - 1)
-        q *= (2 * k - 1) * (n + 2 * k)
-    return p, q
-
-
-def _sigma(n: int, m: int) -> tuple[int, int]:
-    p, q = 0, 1
-    for k in range(1, m + 1):
-        d = k * (2 * k + n - 1)
-        p, q = p * d + q, q * d
-    return p, q
-
-
-def _s(n: int, m: int) -> tuple[int, int]:
-    p, q = 0, 1
-    for k in range(0, m + 1):
-        d = (2 * k - 1) * (2 * k + n)
-        p, q = p * d + q, q * d
-    return p, q
-
-
-def _w_trunc(n: int, m: int) -> tuple[int, int]:
-    p = q = 1
-    for k in range(1, m + 1):
-        t = 2 * k + n
-        p *= t * t
-        q *= t * t - 1
-    return p, q
-
-
 def _check_nm(n: int, m: int) -> None:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -240,128 +304,20 @@ def w_trunc_exact(n: int, m: int) -> Fraction:
     return Fraction(*_w_trunc(n, m))
 
 
-def _ratio(pq: tuple[int, int]) -> float:
-    # int true division is correctly rounded: the bits of float(Fraction(p, q))
-    return pq[0] / pq[1]
-
-
-def _v_lower_d(n: int, m: int) -> float:
-    # bracket = (psi((n+1)/2) + gamma)/(n-1); its removable singularity at
-    # n = 1 is patched with the exact limit psi'(1)/2 = pi^2/12
-    if n == 1:
-        bracket = math.pi * math.pi / 12.0
-    else:
-        rational, log4_count = digamma_float_parts(Fraction(n + 1, 2))
-        bracket = (rational - log4_count * LOG4) / (n - 1)
-    e = 0.5 * n * (bracket - _ratio(_sigma(n, m)))
-    return _ratio(_f_m(n, m)) / math.pi * math.exp(e)
-
-
-def _v_upper_h(n: int, m: int) -> float:
-    # psi(n/2) - alpha = psi(n/2) - psi(3/2): gamma and log 4 cancel exactly,
-    # so at n = 1 the difference is the integer -2
-    diff = digamma_diff(Fraction(n, 2), Fraction(3, 2))
-    e = n * (diff / (2.0 * (n + 1)) - _ratio(_s(n, m)))
-    return _ratio(_f_m(n, m)) / math.pi * math.exp(e)
+def _family(bid: BoundId, n: int) -> _Family:
+    fam = _BY_KEY[(bid.target, bid.kind)]
+    if n < fam.min_n:
+        raise DomainError(f"bound {bid.label()} needs n >= {fam.min_n}, got {n}")
+    return fam
 
 
 def eval_bound(bid: BoundId, n: int) -> float:
     """Double-precision value of the bound at dimension n."""
-    if n < bid.min_n:
-        raise DomainError(f"bound {bid.label()} needs n >= {bid.min_n}, got {n}")
-    key = (bid.target, bid.kind)
-    m = bid.m
-    if key == ("v", "lower-trunc"):
-        return _ratio(_f_m(n, m)) / math.pi
-    if key == ("v", "lower-d"):
-        return _v_lower_d(n, m)
-    if key == ("v", "lower-borgwardt"):
-        return math.sqrt(n / (2.0 * math.pi))
-    if key == ("v", "lower-alzer"):
-        return math.sqrt((n + 0.5) / (2.0 * math.pi))
-    if key == ("v", "upper-h"):
-        return _v_upper_h(n, m)
-    if key == ("v", "upper-alzer"):
-        return math.sqrt((n + BETA) / (2.0 * math.pi))
-    if key == ("v", "upper-borgwardt"):
-        return math.sqrt((n + 1) / (2.0 * math.pi))
-    if key == ("w", "lower-trunc"):
-        return _ratio(_w_trunc(n, m))
-    if key == ("w", "lower-trigamma"):
-        return math.exp(trigamma_closed(Fraction(n, 2)) / 4.0 - 1.0 / (n * n))
-    if key == ("w", "lower-443"):
-        return math.exp((n + 3) / (2.0 * (n + 2) ** 2))
-    if key == ("w", "lower-p"):
-        pre = (n + 2) ** 2 / ((n + 1) * (n + 3))
-        return pre * math.exp((n + 1) / (2.0 * (n + 2) ** 2))
-    if key == ("w", "lower-classic"):
-        return math.sqrt(1.0 + 1.0 / (n + 1))
-    if key == ("w", "upper-51"):
-        return math.exp(0.5 / (n + 1))
-    if key == ("w", "upper-merkle"):
-        return (n + 2) ** 1.5 / ((n + 1) * math.sqrt(n + 3))
-    if key == ("w", "upper-merkle-q"):
-        return (1.0 + 2.0 / n) ** 0.25
-    if key == ("w", "upper-alzer"):
-        return math.sqrt(1.0 + 1.0 / n)
-    if key == ("w", "upper-refined"):
-        return _ratio(_w_trunc(n, m)) * math.exp(0.5 / (n + 2 * m + 1))
-    raise ValueError(f"unhandled bound family {key}")  # unreachable
-
-
-def _mpq(pq: tuple[int, int]):
-    return mpmath.mpf(pq[0]) / pq[1]
+    return _family(bid, n).formula(FLOAT, float(n), n, bid.m)
 
 
 def eval_bound_mp(bid: BoundId, n: int, dps: int = 30):
-    """High-precision twin of eval_bound, for near-tie adjudication."""
-    if n < bid.min_n:
-        raise DomainError(f"bound {bid.label()} needs n >= {bid.min_n}, got {n}")
-    key = (bid.target, bid.kind)
-    m = bid.m
+    """The bound's formula in mpmath at dps digits, for near-tie adjudication."""
+    fam = _family(bid, n)
     with mpmath.workdps(dps):
-        mp = mpmath
-        N = mp.mpf(n)
-        if key == ("v", "lower-trunc"):
-            return _mpq(_f_m(n, m)) / mp.pi
-        if key == ("v", "lower-d"):
-            if n == 1:
-                bracket = mp.pi**2 / 12
-            else:
-                bracket = (mp.digamma((N + 1) / 2) + mp.euler) / (N - 1)
-            e = N / 2 * (bracket - _mpq(_sigma(n, m)))
-            return _mpq(_f_m(n, m)) / mp.pi * mp.exp(e)
-        if key == ("v", "lower-borgwardt"):
-            return mp.sqrt(N / (2 * mp.pi))
-        if key == ("v", "lower-alzer"):
-            return mp.sqrt((N + mp.mpf(1) / 2) / (2 * mp.pi))
-        if key == ("v", "upper-h"):
-            alpha = mp.digamma(mp.mpf(3) / 2)
-            e = N * ((mp.digamma(N / 2) - alpha) / (2 * (N + 1)) - _mpq(_s(n, m)))
-            return _mpq(_f_m(n, m)) / mp.pi * mp.exp(e)
-        if key == ("v", "upper-alzer"):
-            return mp.sqrt((N + mp.pi / 2 - 1) / (2 * mp.pi))
-        if key == ("v", "upper-borgwardt"):
-            return mp.sqrt((N + 1) / (2 * mp.pi))
-        if key == ("w", "lower-trunc"):
-            return _mpq(_w_trunc(n, m))
-        if key == ("w", "lower-trigamma"):
-            return mp.exp(mp.polygamma(1, N / 2) / 4 - 1 / N**2)
-        if key == ("w", "lower-443"):
-            return mp.exp((N + 3) / (2 * (N + 2) ** 2))
-        if key == ("w", "lower-p"):
-            pre = mp.mpf((n + 2) ** 2) / ((n + 1) * (n + 3))
-            return pre * mp.exp((N + 1) / (2 * (N + 2) ** 2))
-        if key == ("w", "lower-classic"):
-            return mp.sqrt(1 + 1 / (N + 1))
-        if key == ("w", "upper-51"):
-            return mp.exp(mp.mpf(1) / (2 * (N + 1)))
-        if key == ("w", "upper-merkle"):
-            return (N + 2) ** (mp.mpf(3) / 2) / ((N + 1) * mp.sqrt(N + 3))
-        if key == ("w", "upper-merkle-q"):
-            return (1 + 2 / N) ** (mp.mpf(1) / 4)
-        if key == ("w", "upper-alzer"):
-            return mp.sqrt(1 + 1 / N)
-        if key == ("w", "upper-refined"):
-            return _mpq(_w_trunc(n, m)) * mp.exp(mp.mpf(1) / (2 * (N + 2 * m + 1)))
-    raise ValueError(f"unhandled bound family {key}")  # unreachable
+        return fam.formula(MP, mpmath.mpf(n), n, bid.m)

@@ -1,6 +1,7 @@
 """Sweep verification, crossover adjudication, overtake indices, tables,
 and the robust chain margins."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -81,6 +82,39 @@ def test_crossover_partition():
     fwd = A.crossover(B.W_UPPER_MERKLE, B.W_UPPER_ALZER, 40).sharper_set
     rev = A.crossover(B.W_UPPER_ALZER, B.W_UPPER_MERKLE, 40).sharper_set
     assert fwd | rev == set(range(1, 41)) and rev == frozenset()
+
+
+# SHA-256 of one line "target a b sorted(sharper_set) threshold" per ordered
+# pair of distinct same-target, same-side bounds of catalog(), in catalog
+# order, from crossover(a, b, 200); computed before the catalog formulas were
+# written once per family
+_CROSSOVER_200_SHA256 = "14bc05f0bfb87e9e8ef6ae23a56aa36b40489e01432efd028c51326a3498931d"
+
+
+def test_crossover_pinned_over_every_same_side_pair(monkeypatch):
+    h = hashlib.sha256()
+    specs = B.catalog()
+    for a in specs:
+        for b in specs:
+            if a.id != b.id and a.target == b.target and a.side == b.side:
+                r = A.crossover(a.id, b.id, 200)
+                h.update(f"{a.target} {a.id.label()} {b.id.label()} "
+                         f"{sorted(r.sharper_set)} {r.threshold}\n".encode())
+    assert h.hexdigest() == _CROSSOVER_200_SHA256
+    # no pair comes within 1e-12 of a tie up to n = 200; these do from n = 835
+    # on, where eval_bound_mp decides. The first of each is sharper at every n.
+    calls = []
+    monkeypatch.setattr(A, "eval_bound_mp",
+                        lambda *args: calls.append(args) or B.eval_bound_mp(*args))
+    near = [("upper-refined:3", "upper-refined:2"), ("upper-refined:2", "upper-refined:1"),
+            ("lower-p", "lower-443"), ("upper-refined:1", "upper-51"),
+            ("upper-refined:3", "upper-refined:1"), ("upper-refined:2", "upper-51"),
+            ("upper-refined:3", "upper-51")]
+    for sharper, other in near:
+        a, b = B.parse_label("w", sharper), B.parse_label("w", other)
+        assert A.crossover(a, b, 1200).sharper_set == frozenset(range(1, 1201))
+        assert A.crossover(b, a, 1200).sharper_set == frozenset()
+    assert calls
 
 
 def test_crossover_rejects_mismatch():

@@ -205,11 +205,13 @@ def test_to_real_big_powers_round_like_the_exact_bracket():
 
 
 def test_symbolic_renders_beyond_the_int_string_limit():
-    text = bv.omega_exact(20_000).symbolic()
-    num, _, rest = text.partition("/")
-    den, _, power = rest.partition(" * pi^")
-    assert num == "1" and power == "10000"
-    assert int(decimal.Decimal(den)) == math.factorial(10_000)  # 35,660 digits
+    for n in (20_000, 100_000):
+        text = bv.omega_exact(n).symbolic()
+        num, _, rest = text.partition("/")
+        den, _, power = rest.partition(" * pi^")
+        assert num == "1" and power == str(n // 2)
+        # (n/2)!: 35,660 digits at n = 20000, 213,237 at n = 100000
+        assert decimal.Decimal(den) == decimal.Decimal(math.factorial(n // 2))
 
 
 def test_dimension_cap():

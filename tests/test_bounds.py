@@ -1,7 +1,9 @@
 """Bound catalog: identifier plumbing, exact helper sums, frozen values,
 sidedness, and the chain orderings."""
 
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -194,9 +196,25 @@ def test_w_chain_orderings_value_space():
             assert B.eval_bound(B.W_UPPER_51, n) < B.eval_bound(B.W_UPPER_MERKLE_Q, n)
 
 
+# SHA-256 of the little-endian IEEE-754 bytes of eval_bound over
+# catalog((1, 2, 3, 4)) in catalog order, each bound at n = min_n..3000 and
+# then 9999, 10000, 29999, 30000. Computed from the earlier catalog, which
+# spelled every formula twice (a float and an mpmath if-chain), before the
+# formulas were written once per family: every double must keep its bits.
+_CATALOG_BITS_SHA256 = "06c3e063a1e36f39a38f627717fad007f44b1c0731255050da2b59cbb8af1107"
+
+
+def test_eval_bound_bits_are_pinned():
+    h = hashlib.sha256()
+    for s in B.catalog((1, 2, 3, 4)):
+        for n in [*range(s.min_n, 3001), 9999, 10000, 29999, 30000]:
+            h.update(struct.pack("<d", B.eval_bound(s.id, n)))
+    assert h.hexdigest() == _CATALOG_BITS_SHA256
+
+
 def test_mp_twin_agrees_with_float_path():
     for s in B.catalog():
-        for n in (s.min_n, 5, 37):
+        for n in (s.min_n, 5, 37, *range(1, 61), 3000, 30000):
             if n < s.min_n:
                 continue
             a = B.eval_bound(s.id, n)
