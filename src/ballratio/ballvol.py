@@ -7,7 +7,7 @@ integer power of pi, with closed forms in integers (C = C(2k, k)):
 
     Omega_{2k} = pi^k / k!        Omega_{2k+1} = 2^{2k+1} k! pi^k / (2k+1)!
     v_{2k}     = 4^k / (C pi)     v_{2k+1}     = (2k+1) C / 2^{2k+1}
-    w_n        = 2 pi v_{n+1}^2 / (n+1)
+    w_n        = (n+1) / (2 pi v_n^2)
 
 C has exactly popcount(k) factors of 2 (Kummer), so shifting them out
 leaves every v_n mantissa an odd integer over a power of two or the
@@ -26,6 +26,7 @@ oracles.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -142,9 +143,15 @@ class ExactBallValue:
         raise BallRatioError(f"pi brackets cannot separate {self.symbolic()} from {q}")
 
 
+@functools.lru_cache(maxsize=1)
+def _odd_central(k: int) -> int:
+    """The odd part of C(2k, k), kept for the last k: v_n, w_n, Omega_n share it."""
+    return math.comb(2 * k, k) >> k.bit_count()
+
+
 def _v(n: int) -> ExactBallValue:
     k, odd = divmod(n, 2)
-    c = math.comb(2 * k, k) >> k.bit_count()  # the odd part of C(2k, k)
+    c = _odd_central(k)
     twos = 2 * k - k.bit_count()
     if odd:
         return ExactBallValue(_fraction((2 * k + 1) * c, 2 << twos), 0)
@@ -160,7 +167,7 @@ def omega_exact(n: int) -> ExactBallValue:
         return ExactBallValue(_fraction(1, f), k)
     # Omega_{2k+1} = Omega_{2k} / v_{2k+1} = 2^{2k+1} pi^k / ((2k+1) C k!),
     # where C k! holds exactly k factors of 2 (popcount(k) in C, the rest in k!)
-    c = math.comb(2 * k, k) >> k.bit_count()
+    c = _odd_central(k)
     odd_den = (2 * k + 1) * c * (f >> (k - k.bit_count()))
     return ExactBallValue(_fraction(2 << k, odd_den), k)
 
@@ -172,14 +179,14 @@ def v_exact(n: int) -> ExactBallValue:
 
 
 def w_exact(n: int) -> ExactBallValue:
-    """w_n = v_{n+1}/v_n = Omega_n^2/(Omega_{n-1} Omega_{n+1}) = 2 pi v_{n+1}^2/(n+1);
+    """w_n = v_{n+1}/v_n = Omega_n^2/(Omega_{n-1} Omega_{n+1}) = (n+1)/(2 pi v_n^2);
     1 <= n <= MAX_DIMENSION."""
     _check_dimension(n, 1, "w_n")
-    v = _v(n + 1)
+    v = _v(n)
     a, b = v.mantissa.numerator, v.mantissa.denominator
-    # gcd(2a^2, (n+1) b^2) divides 2(n+1), as a and b are coprime
-    return ExactBallValue(_fraction(2 * a * a, (n + 1) * b * b, 2 * (n + 1)),
-                          2 * v.pi_power + 1)
+    # gcd((n+1) b^2, 2a^2) divides 2(n+1), as a and b are coprime
+    return ExactBallValue(_fraction((n + 1) * b * b, 2 * a * a, 2 * (n + 1)),
+                          -2 * v.pi_power - 1)
 
 
 def exact_ratios(n_max: int) -> Iterator[tuple[int, ExactBallValue, ExactBallValue]]:

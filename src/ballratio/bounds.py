@@ -8,15 +8,14 @@ exponential refinements) additionally carry a truncation order m.
 Each formula is written once, as a function (B, N, n, m) of a backend B,
 the dimension as the backend's number N and as the int n, and the order m.
 Rational prefactors are integer pairs (numerator, denominator), built in
-one small-int loop; digamma and trigamma are taken at half-integers, also
-given as pairs. Two backends run the formulas:
+one small-int loop; digamma and trigamma are taken at half-integers x,
+each given as the int t = 2x. Two backends run the formulas:
 
 - FLOAT (eval_bound): doubles. Each pair is rounded by a single correctly
-  rounded division, and psi/psi' come from the closed forms in specfun,
-  arranged so that gamma and log-4 contributions cancel exactly where
-  they should.
-- MP (eval_bound_mp): mpmath at a chosen precision, for near-tie
-  adjudication.
+  rounded division, and psi/psi' come from specfun's t-keyed closed forms,
+  128-bit fixed-point integers rounded once, arranged so that gamma and
+  log-4 contributions cancel exactly where they should.
+- MP (eval_bound_mp): mpmath at 30 digits, for near-tie adjudication.
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .errors import DomainError
-from .specfun import LOG4, digamma_diff, digamma_float_parts, trigamma_closed
+from .specfun import _psi_diff, _trigamma
+
+_MP_DPS = 30  # digits of eval_bound_mp
 
 
 def _f_m(n: int, m: int) -> tuple[int, int]:
@@ -67,23 +68,16 @@ def _w_trunc(n: int, m: int) -> tuple[int, int]:
     return p, q
 
 
-def _psi_gamma_float(x: Fraction) -> float:
-    # psi(x) + gamma = rational - log4_count * log 4: gamma cancels exactly
-    rational, log4_count = digamma_float_parts(x)
-    return rational - log4_count * LOG4
-
-
-# psi(x) + gamma, psi(u) - psi(v) and psi'(x) at half-integers given as
-# (p, q) pairs. The specfun functions are looked up by name at call time,
-# so perfbench's tracer, which rebinds module names, still sees the calls.
+# psi(x) + gamma, psi(u) - psi(v) and psi'(x), each half-integer given as
+# the int t = 2x; psi(1) = -gamma, with a rational part of 0
 FLOAT = SimpleNamespace(
     pi=math.pi,
     sqrt=math.sqrt,
     exp=math.exp,
     ratio=lambda pq: pq[0] / pq[1],  # int true division rounds once, correctly
-    psi_gamma=lambda x: _psi_gamma_float(Fraction(*x)),
-    psi_diff=lambda u, v: digamma_diff(Fraction(*u), Fraction(*v)),
-    trigamma=lambda x: trigamma_closed(Fraction(*x)),
+    psi_gamma=lambda t: _psi_diff(t, 2),
+    psi_diff=_psi_diff,
+    trigamma=_trigamma,
 )
 
 MP = SimpleNamespace(
@@ -91,9 +85,10 @@ MP = SimpleNamespace(
     sqrt=mpmath.sqrt,
     exp=mpmath.exp,
     ratio=lambda pq: mpmath.mpf(pq[0]) / pq[1],
-    psi_gamma=lambda x: mpmath.digamma(MP.ratio(x)) + mpmath.euler,
-    psi_diff=lambda u, v: mpmath.digamma(MP.ratio(u)) - mpmath.digamma(MP.ratio(v)),
-    trigamma=lambda x: mpmath.polygamma(1, MP.ratio(x)),
+    psi_gamma=lambda t: mpmath.digamma(mpmath.mpf(t) / 2) + mpmath.euler,
+    psi_diff=lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
+                             - mpmath.digamma(mpmath.mpf(tv) / 2)),
+    trigamma=lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
 )
 
 
@@ -114,7 +109,7 @@ _FAMILIES: tuple[_Family, ...] = (
     # patched with the exact limit psi'(1)/2 = pi^2/12
     _Family("v", "lower-d", "lower", True, 1, "digamma-exponential refinement",
             lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi * B.exp(N / 2 * (
-                (B.pi * B.pi / 12 if n == 1 else B.psi_gamma((n + 1, 2)) / (N - 1))
+                (B.pi * B.pi / 12 if n == 1 else B.psi_gamma(n + 1) / (N - 1))
                 - B.ratio(_sigma(n, m))))),
     _Family("v", "lower-borgwardt", "lower", False, 1, "Borgwardt (1987)",
             lambda B, N, n, m: B.sqrt(N / (2 * B.pi))),
@@ -124,7 +119,7 @@ _FAMILIES: tuple[_Family, ...] = (
     # so at n = 1 the difference is the integer -2
     _Family("v", "upper-h", "upper", True, 1, "digamma-exponential upper bound",
             lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi * B.exp(N * (
-                B.psi_diff((n, 2), (3, 2)) / (2 * (N + 1)) - B.ratio(_s(n, m))))),
+                B.psi_diff(n, 3) / (2 * (N + 1)) - B.ratio(_s(n, m))))),
     _Family("v", "upper-alzer", "upper", False, 1, "Alzer",
             lambda B, N, n, m: B.sqrt((N + (B.pi / 2 - 1)) / (2 * B.pi))),
     _Family("v", "upper-borgwardt", "upper", False, 1, "Borgwardt (1987), shifted index",
@@ -132,7 +127,7 @@ _FAMILIES: tuple[_Family, ...] = (
     _Family("w", "lower-trunc", "lower", True, 1, "truncated product",
             lambda B, N, n, m: B.ratio(_w_trunc(n, m))),
     _Family("w", "lower-trigamma", "lower", False, 1, "trigamma-exponential",
-            lambda B, N, n, m: B.exp(B.trigamma((n, 2)) / 4 - 1 / (N * N))),
+            lambda B, N, n, m: B.exp(B.trigamma(n) / 4 - 1 / (N * N))),
     _Family("w", "lower-443", "lower", False, 1, "plain exponential lower bound",
             lambda B, N, n, m: B.exp((N + 3) / (2 * (N + 2) * (N + 2)))),
     _Family("w", "lower-p", "lower", False, 1, "product-exponential refinement",
@@ -301,6 +296,7 @@ def f_m_exact(n: int, m: int) -> Fraction:
 
 def w_trunc_exact(n: int, m: int) -> Fraction:
     """prod_{k=1}^m (2k+n)^2/((2k+n)^2 - 1), exactly. Meant for small m."""
+    _check_nm(n, m)
     return Fraction(*_w_trunc(n, m))
 
 
@@ -316,8 +312,8 @@ def eval_bound(bid: BoundId, n: int) -> float:
     return _family(bid, n).formula(FLOAT, float(n), n, bid.m)
 
 
-def eval_bound_mp(bid: BoundId, n: int, dps: int = 30):
-    """The bound's formula in mpmath at dps digits, for near-tie adjudication."""
+def eval_bound_mp(bid: BoundId, n: int):
+    """The bound's formula in mpmath at 30 digits, for near-tie adjudication."""
     fam = _family(bid, n)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_MP_DPS):
         return fam.formula(MP, mpmath.mpf(n), n, bid.m)

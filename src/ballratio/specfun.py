@@ -9,15 +9,14 @@ functions have closed forms built from finite rational sums:
     psi'(m+1/2)  = pi^2/2 - 4 * sum_{j=1}^{m} 1/(2j-1)^2
 
 digamma_parts/trigamma_parts return those sums exactly, summed on demand
-by binary splitting; no evaluation path uses them. The doubles come from
-values carried to about 100 bits and rounded once, memoised per argument
-(memory linear in the number of arguments seen):
+by binary splitting; no evaluation path uses them. Evaluation takes the
+int t = 2x and works in 128-bit integer fixed point, rounding once:
 
 - the rational part of psi, H_{m-1} or 2 H_{2m} - H_m, from 30-digit
-  mpmath, so that gamma and log 4 still cancel exactly in differences;
-- psi' itself, in 128-bit integer fixed point (recurrence, then the
-  asymptotic series): pi^2/6 minus the sum would lose about log10(x)
-  digits to cancellation in double.
+  mpmath (exact at that scale), so gamma and log 4 cancel exactly in
+  differences; memoised per t, memory linear in the arguments seen;
+- psi' itself (recurrence, then the asymptotic series), not memoised:
+  pi^2/6 minus the sum would lose about log10(x) digits in double.
 
 The generic series representation of psi(x+1) is kept as an independent
 cross-check and for non-half-integer arguments; its K-term partial sum is
@@ -44,6 +43,7 @@ ALPHA = 2.0 - EULER_GAMMA - LOG4  # = psi(3/2) = psi(-1/2)
 BETA = PI / 2.0 - 1.0
 
 _DPS = 30  # digits of the memoised digamma values, rounded once to a double
+_ONE = 1 << 128  # the fixed-point scale of psi and psi' values
 _ASYMPTOTIC_X = 32
 _BERNOULLI = tuple(mpmath.bernfrac(2 * k) for k in range(1, 14))  # B_2..B_26 as (p, q)
 
@@ -52,7 +52,7 @@ def _twice(x) -> int:
     """Return 2x for a half-integer x >= 1/2, rejecting everything else."""
     try:
         q = Fraction(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected a half-integer, got {x!r}") from exc
     t, rest = divmod(2 * q.numerator, q.denominator)
     if rest:
@@ -65,7 +65,7 @@ def _twice(x) -> int:
 def is_half_integer(x) -> bool:
     try:
         return (2 * Fraction(x)).denominator == 1
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -98,19 +98,25 @@ def digamma_parts(x) -> tuple[Fraction, int]:
 
 
 @functools.cache
-def _psi_rational(t: int) -> mpmath.mpf:
-    """The rational part of psi(t/2) (see digamma_parts) to _DPS digits."""
+def _psi_rational(t: int) -> int:
+    """The rational part of psi(t/2) (see digamma_parts) to _DPS digits, in
+    units of 2^-128: the ~100-bit mpmath mantissa fits them exactly."""
     with mpmath.workdps(_DPS):
         m = t // 2
         if t % 2 == 0:
-            return mpmath.harmonic(m - 1)
-        return 2 * mpmath.harmonic(2 * m) - mpmath.harmonic(m)
+            return int(mpmath.ldexp(mpmath.harmonic(m - 1), 128))
+        return int(mpmath.ldexp(2 * mpmath.harmonic(2 * m) - mpmath.harmonic(m), 128))
+
+
+def _psi_diff(tu: int, tv: int) -> float:
+    """psi(tu/2) - psi(tv/2), rounded once when tu and tv share parity."""
+    return (_psi_rational(tu) - _psi_rational(tv)) / _ONE - (tu % 2 - tv % 2) * LOG4
 
 
 def digamma_float_parts(x) -> tuple[float, int]:
     """digamma_parts(x) with the rational part rounded once to a double."""
     t = _twice(x)
-    return float(_psi_rational(t)), t % 2
+    return _psi_rational(t) / _ONE, t % 2
 
 
 def digamma_closed(x) -> float:
@@ -125,10 +131,7 @@ def digamma_diff(u, v) -> float:
     gamma always cancels; log 4 cancels whenever u and v have the same
     parity, leaving a single rational, rounded once, in that case.
     """
-    tu, tv = _twice(u), _twice(v)
-    with mpmath.workdps(_DPS):
-        rational = _psi_rational(tu) - _psi_rational(tv)
-    return float(rational) - (tu % 2 - tv % 2) * LOG4
+    return _psi_diff(_twice(u), _twice(v))
 
 
 def trigamma_parts(x) -> tuple[Fraction, Fraction]:
@@ -139,23 +142,21 @@ def trigamma_parts(x) -> tuple[Fraction, Fraction]:
     return Fraction(1, 2), 4 * _reciprocal_sum([j * j for j in range(1, t, 2)])
 
 
-@functools.cache
 def _trigamma(t: int) -> float:
     """psi'(t/2) in 128-bit fixed point, rounded once: the recurrence
     psi'(x) = psi'(x+1) + 1/x^2 up to x >= _ASYMPTOTIC_X, then the asymptotic
     series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (DLMF 5.15.8) through
     B_26, whose first omitted term is below 2^-115 of the value there."""
-    one = 1 << 128
     s = 0
     while t < 2 * _ASYMPTOTIC_X:
-        s += (one << 2) // (t * t)  # 1/x^2 = 4/t^2
+        s += (_ONE << 2) // (t * t)  # 1/x^2 = 4/t^2
         t += 2
-    s += (one << 1) // t + (one << 1) // (t * t)  # 1/x + 1/(2x^2)
+    s += (_ONE << 1) // t + (_ONE << 1) // (t * t)  # 1/x + 1/(2x^2)
     power = t
     for k, (p, q) in enumerate(_BERNOULLI, 1):
         power *= t * t  # t^(2k+1)
-        s += (one * p << (2 * k + 1)) // (q * power)
-    return s / one
+        s += (_ONE * p << (2 * k + 1)) // (q * power)
+    return s / _ONE
 
 
 def trigamma_closed(x) -> float:
@@ -175,15 +176,15 @@ def _series_partial(x: float, terms: int) -> float:
 def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
     """psi(x+1) = -gamma + sum_{k>=1} x/(k(k+x)), truncated per ctrl.
 
-    Valid for x > -1 (every denominator k+x then stays positive). In
+    Valid for finite x > -1 (every denominator k+x then stays positive). In
     tolerance mode the cutoff K = ceil(|x|/eps) certifies the tail, since
     |sum_{k>K} x/(k(k+x))| <= |x| * sum_{k>K} 1/(k(k-1)) = |x|/K.
     Convergence is O(1/K), so small tolerances at large x are expensive by
     nature; exceeding max_terms raises with the partial attached.
     """
     xf = float(x)
-    if not xf > -1.0:
-        raise DomainError(f"series argument must exceed -1, got {x!r}")
+    if not -1.0 < xf < math.inf:
+        raise DomainError(f"series argument must be finite and exceed -1, got {x!r}")
     if ctrl is None:
         ctrl = TruncationControl.tolerance()
     if xf == 0.0:
@@ -215,8 +216,8 @@ def psi_lower_ineq(t) -> tuple[float, float, bool]:
     half-integers and arbitrary-precision digamma elsewhere.
     """
     tf = float(t)
-    if not tf > 0.0:
-        raise DomainError(f"argument must be positive, got {t!r}")
+    if not 0.0 < tf < math.inf:
+        raise DomainError(f"argument must be positive and finite, got {t!r}")
     lhs = math.log(tf + 0.5) - 1.0 / tf
     rhs = _psi_any(tf)
     return lhs, rhs, lhs < rhs
@@ -229,8 +230,8 @@ def trigamma_lower_ineq(x) -> tuple[float, float, bool]:
     rhs = psi'(x).
     """
     xf = float(x)
-    if not xf > 0.0:
-        raise DomainError(f"argument must be positive, got {x!r}")
+    if not 0.0 < xf < math.inf:
+        raise DomainError(f"argument must be positive and finite, got {x!r}")
     lhs = 1.0 / (xf + 1.0) + 1.0 / (xf * xf) + 0.5 / ((xf + 1.0) ** 2)
     if is_half_integer(xf) and xf >= 0.5:
         rhs = trigamma_closed(xf)

@@ -78,6 +78,9 @@ def test_sigma_and_s_exact():
     assert B.s_m(1, 2) == Fraction(-3, 5)
     with pytest.raises(DomainError):
         B.sigma_m(0, 1)
+    for n, m in ((-1, 1), (-2, 1), (3, -1)):
+        with pytest.raises(DomainError):
+            B.w_trunc_exact(n, m)
     with pytest.raises(DomainError):
         B.s_m(1, -1)
 
@@ -210,6 +213,32 @@ def test_eval_bound_bits_are_pinned():
         for n in [*range(s.min_n, 3001), 9999, 10000, 29999, 30000]:
             h.update(struct.pack("<d", B.eval_bound(s.id, n)))
     assert h.hexdigest() == _CATALOG_BITS_SHA256
+
+
+# The same hash over n = 3001, 3098, ... up to the oracle cap, taken before
+# psi and psi' arguments were passed as the integer 2x.
+_CAP_STRIDE_BITS_SHA256 = "ed381825b0f62135805f2a24743b7dfdaf364183a098cca67b35c9917818ccc7"
+
+
+def test_eval_bound_bits_pinned_to_the_cap():
+    h = hashlib.sha256()
+    for s in B.catalog((1, 2, 3, 4)):
+        for n in range(3001, 100_001, 97):
+            h.update(struct.pack("<d", B.eval_bound(s.id, n)))
+    assert h.hexdigest() == _CAP_STRIDE_BITS_SHA256
+
+
+def test_catalog_takes_psi_arguments_as_integers(monkeypatch):
+    # the formulas hand specfun the int 2x, so no half-integer is parsed
+    from ballratio import specfun
+
+    def refuse(x):
+        raise AssertionError(f"parsed a half-integer {x!r}")
+
+    monkeypatch.setattr(specfun, "_twice", refuse)
+    for s in B.catalog():
+        for n in (*range(max(1, s.min_n), 51), 30_000):
+            B.eval_bound(s.id, n)
 
 
 def test_mp_twin_agrees_with_float_path():

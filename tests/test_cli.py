@@ -235,6 +235,18 @@ def test_volume_prints_omega_past_the_int_string_limit(capsys):
     assert float(rows[2][2]) == 0.0  # Omega_20000 underflows
 
 
+def test_volume_computes_one_central_binomial_per_row(capsys, monkeypatch):
+    # Omega_n, v_n and w_n of one row share the odd part of C(2k, k), k = n // 2
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    for n in (100_000, 99_999):
+        bv._odd_central.cache_clear()
+        calls.clear()
+        rc, _, _ = run_cli(capsys, ["volume", "--n", str(n)])
+        assert rc == 0 and len(calls) == 1, (n, calls)
+
+
 def test_dimension_above_cap_exits_three_at_once(capsys):
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, ["volume", "--n", "1000000000"])

@@ -66,7 +66,9 @@ def test_half_integer_domain():
     assert sf.is_half_integer(2.5)
     assert sf.is_half_integer(Fraction(7, 2))
     assert not sf.is_half_integer(0.3)
-    for bad in (0, -1, Fraction(-1, 2), 0.3):
+    assert not sf.is_half_integer(math.inf)
+    assert not sf.is_half_integer(math.nan)
+    for bad in (0, -1, Fraction(-1, 2), 0.3, math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             sf.digamma_closed(bad)
         with pytest.raises(DomainError):
@@ -126,6 +128,11 @@ def test_series_domain():
         sf.digamma_series(-1.0)
     with pytest.raises(DomainError):
         sf.digamma_series(-2.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sf.digamma_series(bad)
+        with pytest.raises(DomainError):
+            sf.digamma_series(bad, TruncationControl.fixed(5))
 
 
 def test_trigamma_closed_spot_values():
@@ -194,6 +201,9 @@ def test_inequality_domains():
             fn(0)
         with pytest.raises(DomainError):
             fn(-1.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fn(bad)
 
 
 def test_trigamma_closed_matches_40_digit_mpmath():
