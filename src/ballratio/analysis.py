@@ -1,10 +1,14 @@
 """Verification sweeps, sharpness comparison, and report assembly.
 
 Exact values are always the oracle side: bounds are compared against
-v_exact/w_exact converted once to double. Sharpness comparisons between two
-bounds are strict; when two doubles land within 1e-12 (relative) of each
-other the comparison is re-done at 30 significant digits so that integer
-thresholds cannot flip through rounding.
+v_exact/w_exact converted once to double. A verification sweep walks the
+exact oracle once, taking the doubles and the exact Klein-Rota verdict from
+the same pass, and decides sidedness in one generator: `verify_bounds`
+keeps one record per (bound, n), while `verify_tally` streams per-bound
+counts and margins without building any record. Sharpness comparisons
+between two bounds are strict; when two doubles land within 1e-12
+(relative) of each other the comparison is re-done at 30 significant digits
+so that integer thresholds cannot flip through rounding.
 """
 
 from __future__ import annotations
@@ -59,24 +63,75 @@ class TableReport:
     rows: list[list]
 
 
-def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
-    """One record per (bound, n) with n from the bound's min_n up to n_max."""
+@dataclass(frozen=True)
+class BoundTally:
+    checked: int
+    ok: int
+    # smallest gap / max(1, |exact|), the scale of the tie slack, and the
+    # first n where it occurs; None when the bound was checked at no n
+    min_margin: float | None
+    argmin_n: int | None
+
+
+@dataclass(frozen=True)
+class VerifyTally:
+    bounds: dict[BoundId, BoundTally]
+    klein_rota_ok: bool
+
+
+def _klein_rota_holds(n: int, w) -> bool:
+    """Exact w_n < 1 + 1/n."""
+    return w.compare_to_fraction(Fraction(n + 1, n)) == -1
+
+
+def _oracle(n_max: int) -> tuple[dict[str, list[float]], bool]:
+    """One exact walk to n_max: the doubles of v_n and w_n, indexed by n,
+    and whether Klein-Rota's w_n < 1 + 1/n holds at every n."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    reals: dict[str, list[float]] = {"v": [0.0], "w": [0.0]}  # indexed by n
-    for _, v, w in exact_ratios(n_max):
+    reals: dict[str, list[float]] = {"v": [0.0], "w": [0.0]}
+    klein_ok = True
+    for n, v, w in exact_ratios(n_max):
         reals["v"].append(v.to_real())
         reals["w"].append(w.to_real())
-    records: list[EvaluationRecord] = []
+        klein_ok = klein_ok and _klein_rota_holds(n, w)
+    return reals, klein_ok
+
+
+def _evaluate(bid: BoundId, exact: list[float]):
+    """(n, bound, bound value, exact value, gap, side_ok) for n from the
+    bound's min_n to the end of the oracle. Sidedness is decided here and
+    nowhere else."""
+    lower = bid.side == "lower"
+    for n in range(bid.min_n, len(exact)):
+        bv = eval_bound(bid, n)
+        ev = exact[n]
+        gap = ev - bv if lower else bv - ev
+        yield n, bid, bv, ev, gap, gap > -TIE_REL * max(1.0, abs(ev))
+
+
+def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
+    """One record per (bound, n) with n from the bound's min_n up to n_max."""
+    reals, _ = _oracle(n_max)
+    return [EvaluationRecord(*r) for bid in ids for r in _evaluate(bid, reals[bid.target])]
+
+
+def verify_tally(ids: list[BoundId], n_max: int) -> VerifyTally:
+    """verify_bounds counted per bound, with each bound's smallest margin,
+    and the Klein-Rota verdict from the same exact walk; no record is kept."""
+    reals, klein_ok = _oracle(n_max)
+    tallies: dict[BoundId, BoundTally] = {}
     for bid in ids:
-        exact = reals[bid.target]
-        for n in range(bid.min_n, n_max + 1):
-            bv = eval_bound(bid, n)
-            ev = exact[n]
-            gap = ev - bv if bid.side == "lower" else bv - ev
-            ok = gap > -TIE_REL * max(1.0, abs(ev))
-            records.append(EvaluationRecord(n, bid, bv, ev, gap, ok))
-    return records
+        checked = ok_count = 0
+        min_margin = argmin_n = None
+        for n, _, _, ev, gap, ok in _evaluate(bid, reals[bid.target]):
+            checked += 1
+            ok_count += ok
+            margin = gap / max(1.0, abs(ev))
+            if argmin_n is None or margin < min_margin:
+                min_margin, argmin_n = margin, n
+        tallies[bid] = BoundTally(checked, ok_count, min_margin, argmin_n)
+    return VerifyTally(tallies, klein_ok)
 
 
 def _sharper_at(a: BoundId, b: BoundId, n: int, upper: bool) -> bool | None:
@@ -154,10 +209,7 @@ def klein_rota_check(n_max: int) -> bool:
     """Exact check that w_n < 1 + 1/n for every n up to n_max."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    for n, _, w in exact_ratios(n_max):
-        if w.compare_to_fraction(Fraction(n + 1, n)) != -1:
-            return False
-    return True
+    return all(_klein_rota_holds(n, w) for n, _, w in exact_ratios(n_max))
 
 
 def make_table(

@@ -177,29 +177,24 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     specs = catalog()
-    records = analysis.verify_bounds([s.id for s in specs], args.n_max)
-    stats = {s.id: [0, 0] for s in specs}
-    for rec in records:
-        entry = stats[rec.bound]
-        entry[0] += 1
-        entry[1] += 1 if rec.side_ok else 0
+    tally = analysis.verify_tally([s.id for s in specs], args.n_max)
     headers = ["bound", "side", "target", "checked", "ok", "violations"]
     rows = []
-    violations = 0
+    records = violations = 0
     for s in specs:
-        checked, ok = stats[s.id]
-        rows.append([s.id.label(), s.side, s.target, checked, ok, checked - ok])
-        violations += checked - ok
-    klein_ok = analysis.klein_rota_check(args.n_max)
-    if not klein_ok:
+        t = tally.bounds[s.id]
+        rows.append([s.id.label(), s.side, s.target, t.checked, t.ok, t.checked - t.ok])
+        records += t.checked
+        violations += t.checked - t.ok
+    if not tally.klein_rota_ok:
         violations += 1
     query = {"command": "verify", "n_max": args.n_max}
     summary = {
         "n_max": args.n_max,
         "bounds": len(specs),
-        "records": len(records),
+        "records": records,
         "violations": violations,
-        "klein_rota_ok": klein_ok,
+        "klein_rota_ok": tally.klein_rota_ok,
     }
     _emit(args.format, query, headers, rows, summary)
     return 0 if violations == 0 else 1

@@ -1,6 +1,7 @@
 """Sweep verification, crossover adjudication, overtake indices, tables,
 and the robust chain margins."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -45,6 +46,37 @@ def test_verify_min_n_and_counts():
     assert all(r.side_ok for r in recs)
     with pytest.raises(DomainError):
         A.verify_bounds(ids, 0)
+
+
+def test_tally_agrees_with_records():
+    ids = [s.id for s in B.catalog()]
+    tally = A.verify_tally(ids, 300)
+    want = {}
+    for r in A.verify_bounds(ids, 300):
+        checked, ok, margin, at = want.get(r.bound, (0, 0, None, None))
+        m = r.gap / max(1.0, abs(r.exact_value))
+        if at is None or m < margin:
+            margin, at = m, r.n
+        want[r.bound] = (checked + 1, ok + r.side_ok, margin, at)
+    assert {bid: dataclasses.astuple(t) for bid, t in tally.bounds.items()} == want
+    assert tally.klein_rota_ok == A.klein_rota_check(300)
+
+
+def test_tally_margins():
+    ref = B.W_UPPER_REFINED(2)
+    t = A.verify_tally([ref], 10**4).bounds[ref]
+    assert t.argmin_n == 9998
+    assert 8.2e-14 <= t.min_margin <= 8.4e-14
+    t = A.verify_tally([B.V_UPPER_ALZER], 50).bounds[B.V_UPPER_ALZER]
+    assert t.min_margin == 0.0 and t.argmin_n == 1  # v_1 = 1/2 exactly
+
+
+def test_tally_of_unchecked_bound_and_domain():
+    ids = [s.id for s in B.catalog()]
+    t = A.verify_tally(ids, 1).bounds[B.W_UPPER_MERKLE_Q]  # needs n >= 2
+    assert (t.checked, t.ok, t.min_margin, t.argmin_n) == (0, 0, None, None)
+    with pytest.raises(DomainError):
+        A.verify_tally(ids, 0)
 
 
 def test_crossover_truth_sets():

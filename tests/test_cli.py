@@ -2,7 +2,9 @@
 determinism, and the injected-fault path for verify."""
 
 import csv
+import dataclasses
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -11,13 +13,14 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import ballratio
 from ballratio import analysis
 from ballratio import ballvol as bv
-from ballratio.analysis import EvaluationRecord
+from ballratio.analysis import BoundTally
 from ballratio.bounds import W_UPPER_51, parse_label
 from ballratio.cli import main
 
@@ -154,13 +157,55 @@ def test_verify_tallies_each_bound_once(capsys):
 
 
 def test_verify_injected_fault_exits_one(capsys, monkeypatch):
-    def sabotage(ids, n_max):
-        return [EvaluationRecord(2, W_UPPER_51, 1.0, 1.2, -0.2, False)]
+    real = analysis.verify_tally
 
-    monkeypatch.setattr(analysis, "verify_bounds", sabotage)
+    def sabotage(ids, n_max):
+        tally = real(ids, n_max)
+        bad = BoundTally(checked=3, ok=2, min_margin=-0.2, argmin_n=2)
+        return dataclasses.replace(tally, bounds={**tally.bounds, W_UPPER_51: bad})
+
+    monkeypatch.setattr(analysis, "verify_tally", sabotage)
     rc, out, _ = run_cli(capsys, ["verify", "--n-max", "3"])
     assert rc == 1
     assert "violations: 1" in out
+
+
+# SHA-256 of `verify --n-max 2000` stdout in each format: how verify counts
+# may change, what it prints may not
+VERIFY_2000_SHA256 = {
+    "text": "4f80918afbb72051d2dc8176d443cfbe095d8dadb0ba75681dfa332af4175186",
+    "csv": "686314d100ff10643e269c82e44e54aec96e17e9a64c513fecdaa798c58db5a8",
+    "json": "7f9fb08e3f86404f4ae2c20de29d8bc357e10683a966ac6106ed29b71ccaf958",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_2000_SHA256))
+def test_verify_output_is_pinned(capsys, fmt):
+    rc, out, _ = run_cli(capsys, ["verify", "--n-max", "2000", "--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2000_SHA256[fmt]
+
+
+def test_verify_builds_no_records(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify built an EvaluationRecord")
+
+    monkeypatch.setattr(analysis, "EvaluationRecord", refuse)
+    rc, out, _ = run_cli(capsys, ["verify", "--n-max", "50"])
+    assert rc == 0
+    assert "violations: 0" in out
+
+
+def test_verify_memory_stays_flat(capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "--n-max", "1000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 2 * 2**20  # one record per (bound, n) would take about 6 MB
 
 
 def test_malformed_n_exits_two(capsys):
