@@ -2,13 +2,14 @@
 
 Exact values are always the oracle side: bounds are compared against
 v_exact/w_exact converted once to double. A verification sweep walks the
-exact oracle once, taking the doubles and the exact Klein-Rota verdict from
-the same pass, and decides sidedness in one generator: `verify_bounds`
-keeps one record per (bound, n), while `verify_tally` streams per-bound
-counts and margins without building any record. Sharpness comparisons
-between two bounds are strict; when two doubles land within 1e-12
-(relative) of each other the comparison is re-done at 30 significant digits
-so that integer thresholds cannot flip through rounding.
+exact oracle once, taking the doubles and the Klein-Rota verdict from the
+same pass (read off the double of w_n, exact only near a tie), and decides
+sidedness in one generator: `verify_bounds` keeps one record per
+(bound, n), while `verify_tally` streams per-bound counts and margins
+without building any record. Sharpness comparisons between two bounds are
+strict; when two doubles land within 1e-12 (relative) of each other the
+comparison is re-done at 30 significant digits so that integer thresholds
+cannot flip through rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .ballvol import exact_ratios, v_exact, w_exact
+from .ballvol import MAX_DIMENSION, exact_ratios, v_exact, w_exact
 from .bounds import BoundId, eval_bound, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _dps, _log_partial
@@ -79,9 +80,24 @@ class VerifyTally:
     klein_rota_ok: bool
 
 
+# to_real() of w_n is within 2^-50 relative of it (mantissa and product
+# each rounded once, pi^p within a few ulps for |p| <= 4, 128 bits beyond).
+# w_real * n < (n + 1) * _KLEIN_ROTA_SLACK, with each side rounded once
+# more, then proves w_n < 1 + 1/n with about 2^-49 to spare.
+_KLEIN_ROTA_SLACK = 1.0 - 2.0**-48
+
+
 def _klein_rota_holds(n: int, w) -> bool:
     """Exact w_n < 1 + 1/n."""
     return w.compare_to_fraction(Fraction(n + 1, n)) == -1
+
+
+def _klein_rota_from_double(n: int, w, w_real: float) -> bool:
+    """_klein_rota_holds(n, w), decided from w_real = w.to_real() unless
+    it lies within 2^-48 (relative) of 1 + 1/n. w_n sits about 1/(2n) below
+    it, so the exact compare is left for a band that no n <= MAX_DIMENSION
+    reaches."""
+    return w_real * n < (n + 1) * _KLEIN_ROTA_SLACK or _klein_rota_holds(n, w)
 
 
 def _oracle(n_max: int) -> tuple[dict[str, list[float]], bool]:
@@ -92,9 +108,10 @@ def _oracle(n_max: int) -> tuple[dict[str, list[float]], bool]:
     reals: dict[str, list[float]] = {"v": [0.0], "w": [0.0]}
     klein_ok = True
     for n, v, w in exact_ratios(n_max):
+        w_real = w.to_real()
         reals["v"].append(v.to_real())
-        reals["w"].append(w.to_real())
-        klein_ok = klein_ok and _klein_rota_holds(n, w)
+        reals["w"].append(w_real)
+        klein_ok = klein_ok and _klein_rota_from_double(n, w, w_real)
     return reals, klein_ok
 
 
@@ -157,8 +174,8 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
             f"bounds {a.label()} and {b.label()} do not share side and target"
         )
     start = max(a.min_n, b.min_n)
-    if n_max < start:
-        raise DomainError(f"n_max must be >= {start}, got {n_max}")
+    if not start <= n_max <= MAX_DIMENSION:
+        raise DomainError(f"n_max must lie in [{start}, {MAX_DIMENSION}], got {n_max}")
     upper = a.side == "upper"
     sharper = [n for n in range(start, n_max + 1) if _sharper_at(a, b, n, upper)]
     threshold = None

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 
+from .ballvol import MAX_DIMENSION
 from .errors import DomainError
 from .specfun import _psi_diff, _trigamma
 
@@ -302,8 +303,9 @@ def w_trunc_exact(n: int, m: int) -> Fraction:
 
 def _family(bid: BoundId, n: int) -> _Family:
     fam = _BY_KEY[(bid.target, bid.kind)]
-    if n < fam.min_n:
-        raise DomainError(f"bound {bid.label()} needs n >= {fam.min_n}, got {n}")
+    if not fam.min_n <= n <= MAX_DIMENSION:
+        raise DomainError(
+            f"bound {bid.label()} needs {fam.min_n} <= n <= {MAX_DIMENSION}, got {n}")
     return fam
 
 

@@ -12,9 +12,11 @@ digamma_parts/trigamma_parts return those sums exactly, summed on demand
 by binary splitting; no evaluation path uses them. Evaluation takes the
 int t = 2x and works in 128-bit integer fixed point, rounding once:
 
-- the rational part of psi, H_{m-1} or 2 H_{2m} - H_m, from 30-digit
-  mpmath (exact at that scale), so gamma and log 4 cancel exactly in
-  differences; memoised per t, memory linear in the arguments seen;
+- the rational part of psi, H_{m-1} or 2 H_{2m} - H_m, rounded to nearest,
+  so gamma and log 4 cancel exactly in differences. It is walked over t by
+  psi(x) = psi(x-1) + 1/(x-1) in integers, lazily up to the largest t asked
+  for, and kept as fixed-width records of one byte string: 3.4 MB at the
+  cap t = 2 * MAX_DIMENSION, above which no argument is accepted;
 - psi' itself (recurrence, then the asymptotic series), not memoised:
   pi^2/6 minus the sum would lose about log10(x) digits in double.
 
@@ -26,13 +28,13 @@ the same.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
 
 import mpmath
 
+from .ballvol import MAX_DIMENSION
 from .errors import DomainError, NonConvergenceError
 from .truncation import TruncationControl
 
@@ -42,7 +44,6 @@ LOG4 = math.log(4.0)
 ALPHA = 2.0 - EULER_GAMMA - LOG4  # = psi(3/2) = psi(-1/2)
 BETA = PI / 2.0 - 1.0
 
-_DPS = 30  # digits of the memoised digamma values, rounded once to a double
 _ONE = 1 << 128  # the fixed-point scale of psi and psi' values
 _ASYMPTOTIC_X = 32
 _BERNOULLI = tuple(mpmath.bernfrac(2 * k) for k in range(1, 14))  # B_2..B_26 as (p, q)
@@ -97,15 +98,48 @@ def digamma_parts(x) -> tuple[Fraction, int]:
     return 2 * _reciprocal_sum(range(1, t, 2)), 1
 
 
-@functools.cache
+# The walk sums 2/(t-2) floored in units of 2^-192: under 2^-174 of error
+# at the cap, and the tests check that floor and ceiling sums round alike at
+# every t up to it. Each value is below 16 * 2^128, so 17 bytes hold it.
+_GUARD = 64
+_RECORD = 17
+_BLOCK = 4096  # arguments per extension, so a sweep copies the table rarely
+_T_MAX = 2 * MAX_DIMENSION
+# (sums, table): table holds _psi_rational(t) for t = 0, 1, 2, ... as
+# little-endian records (t = 0 unused), and sums[p] is the walk's sum at the
+# last t of parity p in it, plus half a unit of 2^-128 so that a shift rounds
+# it to nearest. Each extension is built in locals and published by one
+# assignment, so a reader never sees a half-written record.
+_START = ((1 << (_GUARD - 1),) * 2, bytes(3 * _RECORD))
+_walk = _START
+_from_bytes = int.from_bytes  # bound once: the lookup costs more than the call
+
+
+def _extend(t: int) -> bytearray:
+    """Walk the table on to t, rounded up to a whole block, and return it."""
+    global _walk
+    if t > _T_MAX:
+        raise DomainError(f"psi at a half-integer needs x <= {MAX_DIMENSION}, got x = {t}/2")
+    sums, table = _walk
+    sums, table = list(sums), bytearray(table)
+    end = min((t // _BLOCK + 1) * _BLOCK, _T_MAX + 1)
+    two = 2 << (_GUARD + 128)
+    for d in range(len(table) // _RECORD - 2, end - 2):
+        # psi(x) = psi(x-1) + 1/(x-1), and 1/(x-1) = 2/d at x = (d+2)/2
+        sums[d & 1] += two // d
+        table += (sums[d & 1] >> _GUARD).to_bytes(_RECORD, "little")
+    _walk = (tuple(sums), table)
+    return table
+
+
 def _psi_rational(t: int) -> int:
-    """The rational part of psi(t/2) (see digamma_parts) to _DPS digits, in
-    units of 2^-128: the ~100-bit mpmath mantissa fits them exactly."""
-    with mpmath.workdps(_DPS):
-        m = t // 2
-        if t % 2 == 0:
-            return int(mpmath.ldexp(mpmath.harmonic(m - 1), 128))
-        return int(mpmath.ldexp(2 * mpmath.harmonic(2 * m) - mpmath.harmonic(m), 128))
+    """The rational part of psi(t/2) (see digamma_parts) in units of 2^-128,
+    rounded to nearest."""
+    o = t * _RECORD
+    table = _walk[1]
+    if o >= len(table):
+        table = _extend(t)
+    return _from_bytes(table[o:o + _RECORD], "little")
 
 
 def _psi_diff(tu: int, tv: int) -> float:
@@ -204,7 +238,7 @@ def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
 
 
 def _psi_any(t: float) -> float:
-    if is_half_integer(t) and t >= 0.5:
+    if is_half_integer(t) and 0.5 <= t <= MAX_DIMENSION:
         return digamma_closed(t)
     return float(mpmath.digamma(t))
 
@@ -213,7 +247,8 @@ def psi_lower_ineq(t) -> tuple[float, float, bool]:
     """Check log(t + 1/2) - 1/t < psi(t) at t > 0.
 
     Returns (lhs, rhs, holds). The right side uses the exact closed form at
-    half-integers and arbitrary-precision digamma elsewhere.
+    half-integers up to MAX_DIMENSION and arbitrary-precision digamma
+    elsewhere.
     """
     tf = float(t)
     if not 0.0 < tf < math.inf:

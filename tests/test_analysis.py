@@ -158,6 +158,12 @@ def test_crossover_rejects_mismatch():
         A.crossover(B.W_UPPER_MERKLE_Q, B.W_UPPER_51, 1)
 
 
+def test_crossover_refuses_n_max_above_the_cap(monkeypatch):
+    monkeypatch.setattr(A, "eval_bound", None)  # refused before any work
+    with pytest.raises(DomainError):
+        A.crossover(B.W_UPPER_51, B.W_UPPER_ALZER, bv.MAX_DIMENSION + 1)
+
+
 def test_overtake_regression_values():
     for n, want in [(1, 11), (2, 54), (3, 153), (5, 616), (10, 4432), (97, 3688643)]:
         assert A.product_overtake_index(n, 10**7) == want
@@ -185,6 +191,27 @@ def test_partials_stay_below_cap():
     assert A.partials_below_upper_cap(1, 10**5)
     assert A.partials_below_upper_cap(2, 10**5)
     assert A.partials_below_upper_cap(100, 10**4)
+
+
+def test_verify_decides_klein_rota_from_the_doubles(monkeypatch):
+    ids = [s.id for s in B.catalog()]
+
+    def refuse(self, q):
+        raise AssertionError("exact compare called")
+
+    monkeypatch.setattr(bv.ExactBallValue, "compare_to_fraction", refuse)
+    ok = A.verify_tally(ids, 2000).klein_rota_ok
+    monkeypatch.undo()
+    assert ok is True and ok == A.klein_rota_check(2000)
+
+
+def test_klein_rota_double_defers_to_exact_near_the_tie(monkeypatch):
+    w = bv.w_exact(10)
+    seen = []
+    monkeypatch.setattr(bv.ExactBallValue, "compare_to_fraction",
+                        lambda self, q: seen.append(q) or -1)
+    assert A._klein_rota_from_double(10, w, w.to_real()) and seen == []
+    assert A._klein_rota_from_double(10, w, 1.1) and seen == [Fraction(11, 10)]
 
 
 def test_klein_rota_small():

@@ -146,6 +146,16 @@ def test_min_n_rejection():
         B.eval_bound(B.W_UPPER_51, -3)
 
 
+def test_dimension_above_the_cap_is_refused():
+    top = bv.MAX_DIMENSION
+    for s in B.catalog():
+        assert B.eval_bound(s.id, top) > 0
+        with pytest.raises(DomainError):
+            B.eval_bound(s.id, top + 1)
+        with pytest.raises(DomainError):
+            B.eval_bound_mp(s.id, top + 1)
+
+
 @given(st.integers(1, 50), st.integers(1, 20))
 def test_v_truncates_increase_with_m(n, m):
     assert B.f_m_exact(n, m + 1) > B.f_m_exact(n, m)

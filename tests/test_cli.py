@@ -299,6 +299,14 @@ def test_dimension_above_cap_exits_three_at_once(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_crossover_above_cap_exits_three_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["crossover", "--target", "w", "--ids",
+                                    "upper-51,upper-alzer", "--n-max", "100001"])
+    assert rc == 3 and out == "" and "100000" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_bounds_at_the_cap_fit_in_one_gigabyte():
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))

@@ -1,12 +1,20 @@
-"""Half-integer digamma/trigamma closed forms, the shifted series, and the
-two minorant inequalities."""
+"""Half-integer digamma/trigamma closed forms, the integer walk behind psi,
+the shifted series, and the two minorant inequalities."""
 
+import hashlib
 import math
+import random
+import struct
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ballratio import ballvol as bv
+from ballratio import bounds as B
 from ballratio import specfun as sf
 from ballratio.errors import DomainError, NonConvergenceError
 from ballratio.truncation import TruncationControl
@@ -226,3 +234,103 @@ def test_float_parts_round_the_exact_parts_once():
         assert sf.digamma_closed(x) == float(rational) - sf.EULER_GAMMA - log4s * sf.LOG4
         r3, c3 = sf.digamma_parts(Fraction(3, 2))
         assert sf.digamma_diff(x, Fraction(3, 2)) == float(rational - r3) - (log4s - c3) * sf.LOG4
+
+
+def _cold(monkeypatch):
+    monkeypatch.setattr(sf, "_walk", sf._START)
+
+
+def test_psi_rational_rounds_the_exact_sum_to_nearest():
+    # digamma_parts, summed by binary splitting, is the reference
+    for t in [*range(1, 2001), *range(2001, 2 * bv.MAX_DIMENSION + 1, 99_999)]:
+        r, _ = sf.digamma_parts(Fraction(t, 2))
+        assert sf._psi_rational(t) == round(r * 2**128), t
+
+
+def test_psi_rational_is_correctly_rounded_up_to_the_cap():
+    # the walk floors each term; ceiling every term instead must round to the
+    # same value, so the exact sum, which lies between, rounds to it too
+    ceil = [0, 0]
+    for t in range(3, 2 * bv.MAX_DIMENSION + 1):
+        ceil[t % 2] += -(-(1 << 193) // (t - 2))
+        assert sf._psi_rational(t) == (ceil[t % 2] + (1 << 63)) >> 64, t
+
+
+def test_psi_rational_ignores_call_order(monkeypatch):
+    _cold(monkeypatch)
+    far = sf._psi_rational(150_001)
+    assert sf._psi_rational(7) == round(sf.digamma_parts(Fraction(7, 2))[0] * 2**128)
+    jumped = [sf._psi_rational(t) for t in range(1, 150_002)]
+    _cold(monkeypatch)
+    ascending = [sf._psi_rational(t) for t in range(1, 150_002)]
+    assert jumped == ascending and ascending[-1] == far
+
+
+def test_concurrent_walks_agree(monkeypatch):
+    # readers and extenders race on the published (sums, table) state
+    want = [sf._psi_rational(t) for t in range(1, 60_001)]
+    _cold(monkeypatch)
+    bad = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            t = rng.randrange(1, 60_001)
+            if sf._psi_rational(t) != want[t - 1]:
+                bad.append(t)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads) and bad == []
+
+
+def test_digamma_doubles_are_pinned():
+    h = hashlib.sha256()
+    for t in range(1, 200_001, 7):
+        h.update(struct.pack("<d", sf.digamma_closed(Fraction(t, 2))))
+    assert h.hexdigest() == "72e5c509d22452c1adf6c663bd37d41a13e2f87033bf21cf0c7f712c367aceb1"
+
+
+def test_digamma_closed_stops_at_the_cap():
+    top = bv.MAX_DIMENSION
+    assert sf.digamma_closed(top) == sf.digamma_float_parts(top)[0] - sf.EULER_GAMMA
+    for bad in (top + HALF, top + 1):
+        with pytest.raises(DomainError):
+            sf.digamma_closed(bad)
+        with pytest.raises(DomainError):
+            sf.digamma_diff(bad, 1)
+    # psi_lower_ineq goes to mpmath above the cap, as at non-half-integers
+    _, rhs, holds = sf.psi_lower_ineq(top + 0.5)
+    assert holds and 0 < rhs - sf.digamma_closed(top) < 1 / top
+
+
+def test_cold_walk_to_the_cap_stays_small(monkeypatch):
+    _cold(monkeypatch)
+    tracemalloc.start()
+    try:
+        sf._psi_rational(2 * bv.MAX_DIMENSION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20  # 17 bytes per argument: about 3.4 MB
+
+
+def test_walk_needs_no_mpmath_harmonic(monkeypatch):
+    import mpmath
+
+    def refuse(*args):
+        raise AssertionError("mpmath.harmonic called")
+
+    monkeypatch.setattr(mpmath, "harmonic", refuse)
+    _cold(monkeypatch)
+    for s in B.catalog():
+        for n in [*range(s.min_n, 51), 30_000]:
+            assert math.isfinite(B.eval_bound(s.id, n))
