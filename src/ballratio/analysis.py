@@ -3,13 +3,17 @@
 Exact values are always the oracle side: bounds are compared against
 v_exact/w_exact converted once to double. A verification sweep walks the
 exact oracle once, taking the doubles and the Klein-Rota verdict from the
-same pass (read off the double of w_n, exact only near a tie), and decides
-sidedness in one generator: `verify_bounds` keeps one record per
-(bound, n), while `verify_tally` streams per-bound counts and margins
-without building any record. Sharpness comparisons between two bounds are
-strict; when two doubles land within 1e-12 (relative) of each other the
-comparison is re-done at 30 significant digits so that integer thresholds
-cannot flip through rounding.
+same pass (read off the double of w_n, exact only near a tie). It then
+walks n outermost: at each n, every bound comes from one row of
+bounds._rows, which computes each truncate and psi term once for all of
+them, and one generator decides sidedness for the whole row, with
+the tie scale taken once per n and target. `verify_bounds` keeps one record
+per (bound, n), bound by bound, while `verify_tally` streams per-bound
+counts and margins without building any record. `make_table` and
+`crossover` take their values from the same rows. Sharpness comparisons
+between two bounds are strict; when two doubles land within 1e-12
+(relative) of each other the comparison is re-done at 30 significant
+digits so that integer thresholds cannot flip through rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 import mpmath
 
 from .ballvol import MAX_DIMENSION, exact_ratios, v_exact, w_exact
-from .bounds import BoundId, eval_bound, eval_bound_mp
+from .bounds import BoundId, _rows, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _dps, _log_partial
 
@@ -115,45 +119,64 @@ def _oracle(n_max: int) -> tuple[dict[str, list[float]], bool]:
     return reals, klein_ok
 
 
-def _evaluate(bid: BoundId, exact: list[float]):
-    """(n, bound, bound value, exact value, gap, side_ok) for n from the
-    bound's min_n to the end of the oracle. Sidedness is decided here and
+def _evaluate(ids: list[BoundId], reals: dict[str, list[float]]):
+    """For each n from 1 to the end of the oracle: n, and one (index into
+    ids, bound value, exact value, gap, margin, side_ok) per bound of ids
+    valid at n, target by target. All bounds at n come from one row of
+    _rows, and the scale max(1, |exact|) of the tie slack is taken once per
+    n and target; margin is gap / scale. Sidedness is decided here and
     nowhere else."""
-    lower = bid.side == "lower"
-    for n in range(bid.min_n, len(exact)):
-        bv = eval_bound(bid, n)
-        ev = exact[n]
-        gap = ev - bv if lower else bv - ev
-        yield n, bid, bv, ev, gap, gap > -TIE_REL * max(1.0, abs(ev))
+    by_target = [(col, [(i, bid.side == "lower") for i, bid in enumerate(ids)
+                        if bid.target == target])
+                 for target, col in reals.items()]
+    ns = range(1, len(reals["v"]))
+    for n, values in zip(ns, _rows(ids, ns)):
+        row = []
+        for col, members in by_target:
+            ev = col[n]
+            scale = max(1.0, abs(ev))
+            for i, lower in members:
+                bv = values[i]
+                if bv is not None:
+                    gap = ev - bv if lower else bv - ev
+                    row.append((i, bv, ev, gap, gap / scale, gap > -TIE_REL * scale))
+        yield n, row
 
 
 def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
-    """One record per (bound, n) with n from the bound's min_n up to n_max."""
+    """One record per (bound, n) with n from the bound's min_n up to n_max,
+    bound by bound in ids order."""
     reals, _ = _oracle(n_max)
-    return [EvaluationRecord(*r) for bid in ids for r in _evaluate(bid, reals[bid.target])]
+    records: list[list[EvaluationRecord]] = [[] for _ in ids]
+    for n, row in _evaluate(ids, reals):
+        for i, bv, ev, gap, _, ok in row:
+            records[i].append(EvaluationRecord(n, ids[i], bv, ev, gap, ok))
+    return [r for per_bound in records for r in per_bound]
 
 
 def verify_tally(ids: list[BoundId], n_max: int) -> VerifyTally:
     """verify_bounds counted per bound, with each bound's smallest margin,
     and the Klein-Rota verdict from the same exact walk; no record is kept."""
     reals, klein_ok = _oracle(n_max)
-    tallies: dict[BoundId, BoundTally] = {}
-    for bid in ids:
-        checked = ok_count = 0
-        min_margin = argmin_n = None
-        for n, _, _, ev, gap, ok in _evaluate(bid, reals[bid.target]):
-            checked += 1
-            ok_count += ok
-            margin = gap / max(1.0, abs(ev))
-            if argmin_n is None or margin < min_margin:
-                min_margin, argmin_n = margin, n
-        tallies[bid] = BoundTally(checked, ok_count, min_margin, argmin_n)
+    checked = [0] * len(ids)
+    ok_count = [0] * len(ids)
+    min_margin: list[float | None] = [None] * len(ids)
+    argmin_n: list[int | None] = [None] * len(ids)
+    for n, row in _evaluate(ids, reals):
+        for i, _, _, _, margin, ok in row:
+            checked[i] += 1
+            ok_count[i] += ok
+            if argmin_n[i] is None or margin < min_margin[i]:
+                min_margin[i], argmin_n[i] = margin, n
+    tallies = {bid: BoundTally(c, k, low, at)
+               for bid, c, k, low, at in zip(ids, checked, ok_count, min_margin, argmin_n)}
     return VerifyTally(tallies, klein_ok)
 
 
-def _sharper_at(a: BoundId, b: BoundId, n: int, upper: bool) -> bool | None:
-    """True if a is strictly sharper at n, False if b is, None on a tie."""
-    va, vb = eval_bound(a, n), eval_bound(b, n)
+def _sharper_at(a: BoundId, b: BoundId, n: int, va: float, vb: float,
+                upper: bool) -> bool | None:
+    """True if a, worth va at n, is strictly sharper at n than b, worth vb;
+    False if b is, None on a tie."""
     if abs(va - vb) < _RECHECK_REL * max(1.0, abs(va), abs(vb)):
         ma, mb = eval_bound_mp(a, n), eval_bound_mp(b, n)
         if ma == mb:
@@ -177,7 +200,9 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
     if not start <= n_max <= MAX_DIMENSION:
         raise DomainError(f"n_max must lie in [{start}, {MAX_DIMENSION}], got {n_max}")
     upper = a.side == "upper"
-    sharper = [n for n in range(start, n_max + 1) if _sharper_at(a, b, n, upper)]
+    ns = range(start, n_max + 1)
+    sharper = [n for n, (va, vb) in zip(ns, _rows((a, b), ns))
+               if _sharper_at(a, b, n, va, vb, upper)]
     threshold = None
     if sharper and sharper[-1] - sharper[0] + 1 == len(sharper):
         threshold = sharper[-1]
@@ -247,23 +272,18 @@ def make_table(
     headers = ["n", "exact"]
     headers += [bid.label() for bid in ids]
     headers += [f"gap:{bid.label()}" for bid in ids]
+    lower = [bid.side == "lower" for bid in ids]
+    values_at = _rows(ids, n_list)
     rows: list[list] = []
     for n in n_list:
         ev = exact_target(target, n)  # DomainError for n < 1 regardless of flag
-        values: list[float | None] = []
-        gaps: list[float | None] = []
-        for bid in ids:
-            if n < bid.min_n:
-                if not partial:
-                    raise DomainError(
-                        f"bound {bid.label()} needs n >= {bid.min_n}, got {n}"
-                    )
-                values.append(None)
-                gaps.append(None)
-                continue
-            bv = eval_bound(bid, n)
-            values.append(bv)
-            gaps.append(ev - bv if bid.side == "lower" else bv - ev)
+        if not partial:
+            for bid in ids:
+                if n < bid.min_n:
+                    raise DomainError(f"bound {bid.label()} needs n >= {bid.min_n}, got {n}")
+        values = next(values_at)
+        gaps = [None if bv is None else (ev - bv if low else bv - ev)
+                for bv, low in zip(values, lower)]
         rows.append([n, ev, *values, *gaps])
     return TableReport(target, headers, rows)
 

@@ -3,24 +3,34 @@
 Every bound family gets a stable kebab-case token (the CLI contract), a
 side, a target sequence, a minimum dimension, an attribution string, and
 its formula. Parameterized families (product truncates and their
-exponential refinements) additionally carry a truncation order m.
+exponential refinements) additionally carry a truncation order m, from 1
+to _MAX_ORDER = 1000; a larger m is refused with DomainError.
 
 Each formula is written once, as a function (B, N, n, m) of a backend B,
 the dimension as the backend's number N and as the int n, and the order m.
 Rational prefactors are integer pairs (numerator, denominator), built in
 one small-int loop; digamma and trigamma are taken at half-integers x,
-each given as the int t = 2x. Two backends run the formulas:
+each given as the int t = 2x. Three backends run the formulas:
 
 - FLOAT (eval_bound): doubles. Each pair is rounded by a single correctly
   rounded division, and psi/psi' come from specfun's t-keyed closed forms,
   128-bit fixed-point integers rounded once, arranged so that gamma and
   log-4 contributions cancel exactly where they should.
+- _sharing (_rows): FLOAT for many bounds at one n at a time. The
+  m-truncates f, sigma, s and w extend one another, one factor or one
+  summand per order, so each keeps its last pair and, at the same n, goes
+  on from it to a higher order instead of starting again; each psi
+  function keeps its last value. _rows asks in ascending m, so at each n
+  every factor, summand and psi value is computed once, and only if some
+  bound reads it.
 - MP (eval_bound_mp): mpmath at 30 digits, for near-tie adjudication.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -30,39 +40,50 @@ import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
-from .specfun import _psi_diff, _trigamma
+from .specfun import _psi_diff, _psi_gamma, _trigamma
 
 _MP_DPS = 30  # digits of eval_bound_mp
+# Largest truncation order m. The truncates' integers grow with m, so the
+# work grows about as m^2: one evaluation at m = 1000 takes a few ms.
+_MAX_ORDER = 1000
 
 
-def _f_m(n: int, m: int) -> tuple[int, int]:
+def _check_order(m: int) -> None:
+    if m > _MAX_ORDER:
+        raise DomainError(f"truncation order m must be <= {_MAX_ORDER}, got {m}")
+
+
+# Each truncate loop returns the pair of order m. Given (k, p, q), the pair
+# of a lower order k, it goes on from there; the defaults are the empty
+# product or sum.
+
+def _f_m(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, int]:
     # joint factor k(x+k-1)/((k-a)(k+x+a-1)) at x = (n+1)/2, a = 1/2
-    p = q = 1
-    for k in range(1, m + 1):
+    for k in range(k + 1, m + 1):
         p *= 2 * k * (n + 2 * k - 1)
         q *= (2 * k - 1) * (n + 2 * k)
     return p, q
 
 
-def _sigma(n: int, m: int) -> tuple[int, int]:
-    p, q = 0, 1
-    for k in range(1, m + 1):
+def _sigma(n: int, m: int, k: int = 0, p: int = 0, q: int = 1) -> tuple[int, int]:
+    # sum_{k=1}^m 1/(k(2k+n-1))
+    for k in range(k + 1, m + 1):
         d = k * (2 * k + n - 1)
         p, q = p * d + q, q * d
     return p, q
 
 
-def _s(n: int, m: int) -> tuple[int, int]:
-    p, q = 0, 1
-    for k in range(0, m + 1):
+def _s(n: int, m: int, k: int = -1, p: int = 0, q: int = 1) -> tuple[int, int]:
+    # sum_{k=0}^m 1/((2k-1)(2k+n))
+    for k in range(k + 1, m + 1):
         d = (2 * k - 1) * (2 * k + n)
         p, q = p * d + q, q * d
     return p, q
 
 
-def _w_trunc(n: int, m: int) -> tuple[int, int]:
-    p = q = 1
-    for k in range(1, m + 1):
+def _w_trunc(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, int]:
+    # prod_{k=1}^m (2k+n)^2/((2k+n)^2 - 1)
+    for k in range(k + 1, m + 1):
         t = 2 * k + n
         p *= t * t
         q *= t * t - 1
@@ -70,27 +91,69 @@ def _w_trunc(n: int, m: int) -> tuple[int, int]:
 
 
 # psi(x) + gamma, psi(u) - psi(v) and psi'(x), each half-integer given as
-# the int t = 2x; psi(1) = -gamma, with a rational part of 0
+# the int t = 2x; and the truncates, each as B.f(n, m) -> the pair of order m
 FLOAT = SimpleNamespace(
     pi=math.pi,
     sqrt=math.sqrt,
     exp=math.exp,
-    ratio=lambda pq: pq[0] / pq[1],  # int true division rounds once, correctly
-    psi_gamma=lambda t: _psi_diff(t, 2),
+    ratio=operator.truediv,  # int true division rounds once, correctly
+    psi_gamma=_psi_gamma,
     psi_diff=_psi_diff,
     trigamma=_trigamma,
+    f=_f_m,
+    sigma=_sigma,
+    s=_s,
+    w=_w_trunc,
 )
 
 MP = SimpleNamespace(
     pi=mpmath.pi,
     sqrt=mpmath.sqrt,
     exp=mpmath.exp,
-    ratio=lambda pq: mpmath.mpf(pq[0]) / pq[1],
+    ratio=lambda p, q: mpmath.mpf(p) / q,
     psi_gamma=lambda t: mpmath.digamma(mpmath.mpf(t) / 2) + mpmath.euler,
     psi_diff=lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
                              - mpmath.digamma(mpmath.mpf(tv) / 2)),
     trigamma=lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
+    f=_f_m,
+    sigma=_sigma,
+    s=_s,
+    w=_w_trunc,
 )
+
+
+def _sharing() -> SimpleNamespace:
+    """FLOAT for a row of bounds at one n at a time. Each truncate keeps the
+    last pair it gave, with its n and order, and goes on from it when asked
+    for a higher order at the same n; each psi function keeps its last
+    value. Nothing is kept beyond that one entry each."""
+    def truncate(loop):
+        at, k, p, q = 0, 0, 1, 1  # the last n, order and pair; no n is 0
+
+        def get(n, m):
+            nonlocal at, k, p, q
+            if at == n and k == m:
+                return p, q
+            p, q = loop(n, m, k, p, q) if at == n and k < m else loop(n, m)
+            at, k = n, m
+            return p, q
+        return get
+
+    def psi(fn):
+        last, value = None, None  # the last arguments and their value
+
+        def get(*args):
+            nonlocal last, value
+            if args != last:
+                last, value = args, fn(*args)
+            return value
+        return get
+
+    return SimpleNamespace(**{
+        **vars(FLOAT),
+        **{name: truncate(getattr(FLOAT, name)) for name in ("f", "sigma", "s", "w")},
+        **{name: psi(getattr(FLOAT, name)) for name in ("psi_gamma", "psi_diff")},
+    })
 
 
 class _Family(NamedTuple):
@@ -105,13 +168,13 @@ class _Family(NamedTuple):
 
 _FAMILIES: tuple[_Family, ...] = (
     _Family("v", "lower-trunc", "lower", True, 1, "truncated product",
-            lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi),
+            lambda B, N, n, m: B.ratio(*B.f(n, m)) / B.pi),
     # (psi((n+1)/2) + gamma)/(n-1) has a removable singularity at n = 1,
     # patched with the exact limit psi'(1)/2 = pi^2/12
     _Family("v", "lower-d", "lower", True, 1, "digamma-exponential refinement",
-            lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi * B.exp(N / 2 * (
+            lambda B, N, n, m: B.ratio(*B.f(n, m)) / B.pi * B.exp(N / 2 * (
                 (B.pi * B.pi / 12 if n == 1 else B.psi_gamma(n + 1) / (N - 1))
-                - B.ratio(_sigma(n, m))))),
+                - B.ratio(*B.sigma(n, m))))),
     _Family("v", "lower-borgwardt", "lower", False, 1, "Borgwardt (1987)",
             lambda B, N, n, m: B.sqrt(N / (2 * B.pi))),
     _Family("v", "lower-alzer", "lower", False, 1, "Alzer",
@@ -119,20 +182,20 @@ _FAMILIES: tuple[_Family, ...] = (
     # psi(n/2) - alpha = psi(n/2) - psi(3/2): gamma and log 4 cancel exactly,
     # so at n = 1 the difference is the integer -2
     _Family("v", "upper-h", "upper", True, 1, "digamma-exponential upper bound",
-            lambda B, N, n, m: B.ratio(_f_m(n, m)) / B.pi * B.exp(N * (
-                B.psi_diff(n, 3) / (2 * (N + 1)) - B.ratio(_s(n, m))))),
+            lambda B, N, n, m: B.ratio(*B.f(n, m)) / B.pi * B.exp(N * (
+                B.psi_diff(n, 3) / (2 * (N + 1)) - B.ratio(*B.s(n, m))))),
     _Family("v", "upper-alzer", "upper", False, 1, "Alzer",
             lambda B, N, n, m: B.sqrt((N + (B.pi / 2 - 1)) / (2 * B.pi))),
     _Family("v", "upper-borgwardt", "upper", False, 1, "Borgwardt (1987), shifted index",
             lambda B, N, n, m: B.sqrt((N + 1) / (2 * B.pi))),
     _Family("w", "lower-trunc", "lower", True, 1, "truncated product",
-            lambda B, N, n, m: B.ratio(_w_trunc(n, m))),
+            lambda B, N, n, m: B.ratio(*B.w(n, m))),
     _Family("w", "lower-trigamma", "lower", False, 1, "trigamma-exponential",
             lambda B, N, n, m: B.exp(B.trigamma(n) / 4 - 1 / (N * N))),
     _Family("w", "lower-443", "lower", False, 1, "plain exponential lower bound",
             lambda B, N, n, m: B.exp((N + 3) / (2 * (N + 2) * (N + 2)))),
     _Family("w", "lower-p", "lower", False, 1, "product-exponential refinement",
-            lambda B, N, n, m: B.ratio(((n + 2) ** 2, (n + 1) * (n + 3)))
+            lambda B, N, n, m: B.ratio((n + 2) ** 2, (n + 1) * (n + 3))
             * B.exp((N + 1) / (2 * (N + 2) * (N + 2)))),
     _Family("w", "lower-classic", "lower", False, 1, "classical square-root bound",
             lambda B, N, n, m: B.sqrt(1 + 1 / (N + 1))),
@@ -145,7 +208,7 @@ _FAMILIES: tuple[_Family, ...] = (
     _Family("w", "upper-alzer", "upper", False, 1, "Alzer",
             lambda B, N, n, m: B.sqrt(1 + 1 / N)),
     _Family("w", "upper-refined", "upper", True, 1, "truncate times exponential tail cap",
-            lambda B, N, n, m: B.ratio(_w_trunc(n, m)) * B.exp(1 / (2 * (N + 2 * m + 1)))),
+            lambda B, N, n, m: B.ratio(*B.w(n, m)) * B.exp(1 / (2 * (N + 2 * m + 1)))),
 )
 
 _BY_KEY: dict[tuple[str, str], _Family] = {(f.target, f.kind): f for f in _FAMILIES}
@@ -166,6 +229,7 @@ class BoundId:
         if fam.parametric:
             if self.m is None or self.m < 1:
                 raise ValueError(f"{self.kind} needs a truncation order m >= 1")
+            _check_order(self.m)
         elif self.m is not None:
             raise ValueError(f"{self.kind} takes no truncation order")
 
@@ -272,6 +336,7 @@ def _check_nm(n: int, m: int) -> None:
         raise DomainError(f"n must be >= 1, got {n}")
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
+    _check_order(m)
 
 
 def sigma_m(n: int, m: int) -> Fraction:
@@ -292,11 +357,12 @@ def f_m_exact(n: int, m: int) -> Fraction:
         raise DomainError(f"x = (n+1)/2 must be positive, got n = {n}")
     if m < 0:
         raise DomainError(f"truncation order must be >= 0, got {m}")
+    _check_order(m)
     return Fraction(*_f_m(n, m))
 
 
 def w_trunc_exact(n: int, m: int) -> Fraction:
-    """prod_{k=1}^m (2k+n)^2/((2k+n)^2 - 1), exactly. Meant for small m."""
+    """prod_{k=1}^m (2k+n)^2/((2k+n)^2 - 1), exactly."""
     _check_nm(n, m)
     return Fraction(*_w_trunc(n, m))
 
@@ -319,3 +385,22 @@ def eval_bound_mp(bid: BoundId, n: int):
     fam = _family(bid, n)
     with mpmath.workdps(_MP_DPS):
         return fam.formula(MP, mpmath.mpf(n), n, bid.m)
+
+
+def _rows(ids: Sequence[BoundId], ns: Iterable[int]) -> Iterator[list[float | None]]:
+    """For each n of ns, the eval_bound double of every bound of ids at n,
+    None for a bound below its min_n. The bounds of a row run on _sharing
+    in ascending m, so each truncate is only ever extended. An n above
+    MAX_DIMENSION raises DomainError when its row is reached."""
+    plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula, bid.min_n)
+                  for i, bid in enumerate(ids))
+    B = _sharing()
+    for n in ns:
+        if n > MAX_DIMENSION:
+            raise DomainError(f"bounds need n <= {MAX_DIMENSION}, got {n}")
+        N = float(n)
+        row: list[float | None] = [None] * len(plan)
+        for m, i, formula, min_n in plan:
+            if min_n <= n:
+                row[i] = formula(B, N, n, m)
+        yield row

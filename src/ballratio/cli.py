@@ -16,7 +16,7 @@ import sys
 from . import analysis
 from .ballvol import omega_exact, v_exact, w_exact
 from .bounds import catalog, family_labels, parse_label
-from .errors import BallRatioError
+from .errors import BallRatioError, DomainError
 
 
 def _n_list(text: str) -> list[int]:
@@ -148,18 +148,26 @@ def cmd_volume(args) -> int:
     return 0
 
 
+def _parse_ids(target: str, tokens: list[str]) -> list:
+    """BoundIds of the tokens. A malformed or unknown id is a usage error
+    that lists the valid ones; a DomainError (an order above the cap) passes
+    through."""
+    try:
+        return [parse_label(target, tok) for tok in tokens]
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; valid ids for target {target}: " + ", ".join(family_labels(target))
+        ) from None
+
+
 def cmd_bounds(args) -> int:
     target = args.target
     if args.ids is None:
         ids = [s.id for s in catalog() if s.target == target]
     else:
-        try:
-            ids = [parse_label(target, tok) for tok in args.ids]
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}; valid ids for target {target}: "
-                + ", ".join(family_labels(target))
-            ) from None
+        ids = _parse_ids(target, args.ids)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate bound ids in --ids")
     report = analysis.make_table(target, ids, args.n, partial=args.partial)
@@ -203,14 +211,7 @@ def cmd_verify(args) -> int:
 def cmd_crossover(args) -> int:
     if len(args.ids) != 2:
         raise ValueError("crossover needs exactly two bound ids")
-    try:
-        a = parse_label(args.target, args.ids[0])
-        b = parse_label(args.target, args.ids[1])
-    except ValueError as exc:
-        raise ValueError(
-            f"{exc}; valid ids for target {args.target}: "
-            + ", ".join(family_labels(args.target))
-        ) from None
+    a, b = _parse_ids(args.target, args.ids)
     res = analysis.crossover(a, b, args.n_max)
     sharper = sorted(res.sharper_set)
     if not sharper:

@@ -147,6 +147,12 @@ def _psi_diff(tu: int, tv: int) -> float:
     return (_psi_rational(tu) - _psi_rational(tv)) / _ONE - (tu % 2 - tv % 2) * LOG4
 
 
+def _psi_gamma(t: int) -> float:
+    """psi(t/2) + gamma, rounded once: _psi_diff(t, 2), as psi(1) = -gamma
+    has a rational part of 0."""
+    return _psi_rational(t) / _ONE - t % 2 * LOG4
+
+
 def digamma_float_parts(x) -> tuple[float, int]:
     """digamma_parts(x) with the rational part rounded once to a double."""
     t = _twice(x)

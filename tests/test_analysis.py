@@ -159,7 +159,7 @@ def test_crossover_rejects_mismatch():
 
 
 def test_crossover_refuses_n_max_above_the_cap(monkeypatch):
-    monkeypatch.setattr(A, "eval_bound", None)  # refused before any work
+    monkeypatch.setattr(A, "_rows", None)  # refused before any work
     with pytest.raises(DomainError):
         A.crossover(B.W_UPPER_51, B.W_UPPER_ALZER, bv.MAX_DIMENSION + 1)
 
@@ -300,3 +300,81 @@ def test_margins_match_value_space_at_small_n():
         direct = math.log(B.eval_bound(B.W_LOWER_P, n)) - math.log(
             B.eval_bound(B.W_LOWER_443, n))
         assert abs(direct - A.w_lower_p_vs_443_margin(n)) < 1e-12
+
+
+def test_tally_matches_a_per_bound_loop_over_eval_bound():
+    # an independent reader: one eval_bound per (bound, n), as the tally was
+    # once computed, against the per-n rows that verify_tally consumes
+    ids = [s.id for s in B.catalog((1, 2, 3, 4))]
+    exact = {t: [None] + [A.exact_target(t, n) for n in range(1, 301)] for t in ("v", "w")}
+    tally = A.verify_tally(ids, 300)
+    for bid in ids:
+        checked = ok = 0
+        low = at = None
+        for n in range(bid.min_n, 301):
+            bv, ev = B.eval_bound(bid, n), exact[bid.target][n]
+            gap = ev - bv if bid.side == "lower" else bv - ev
+            scale = max(1.0, abs(ev))
+            checked += 1
+            ok += gap > -A.TIE_REL * scale
+            if at is None or gap / scale < low:
+                low, at = gap / scale, n
+        assert dataclasses.astuple(tally.bounds[bid]) == (checked, ok, low, at), bid.label()
+
+
+def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
+    from ballratio import specfun
+
+    calls = {"psi_rational": 0, "psi_gamma": [], "psi_diff": []}
+    psi_rational, psi_gamma, psi_diff = specfun._psi_rational, B.FLOAT.psi_gamma, B.FLOAT.psi_diff
+
+    def count_rational(t):
+        calls["psi_rational"] += 1
+        return psi_rational(t)
+
+    monkeypatch.setattr(specfun, "_psi_rational", count_rational)
+    monkeypatch.setattr(B.FLOAT, "psi_gamma",
+                        lambda t: calls["psi_gamma"].append(t) or psi_gamma(t))
+    monkeypatch.setattr(B.FLOAT, "psi_diff",
+                        lambda tu, tv: calls["psi_diff"].append((tu, tv)) or psi_diff(tu, tv))
+    # each truncate loop records the orders whose factor or summand it adds
+    orders: dict = {}
+    for name, first in (("f", 1), ("sigma", 1), ("s", 0), ("w", 1)):
+        def counted(n, m, *last, name=name, first=first, loop=getattr(B.FLOAT, name)):
+            start = last[0] + 1 if last else first
+            orders.setdefault(name, {}).setdefault(n, []).extend(range(start, m + 1))
+            return loop(n, m, *last)
+        monkeypatch.setattr(B.FLOAT, name, counted)
+
+    A.verify_tally([s.id for s in B.catalog()], 50)
+    ns = range(1, 51)
+    assert orders == {"f": {n: [1, 2, 3] for n in ns}, "sigma": {n: [1, 2, 3] for n in ns},
+                      "s": {n: [0, 1, 2, 3] for n in ns}, "w": {n: [1, 2, 3] for n in ns}}
+    # lower-d's psi((n+1)/2) + gamma (pi^2/12 at n = 1) and upper-h's
+    # psi(n/2) - psi(3/2), each once per n: three table reads per n
+    assert calls["psi_gamma"] == [n + 1 for n in range(2, 51)]
+    assert calls["psi_diff"] == [(n, 3) for n in range(1, 51)]
+    assert calls["psi_rational"] == 3 * 50 - 1
+
+    # a crossover's pair is one row per n: the two orders share one product
+    orders.clear()
+    A.crossover(B.W_UPPER_REFINED(3), B.W_UPPER_REFINED(2), 40)
+    assert orders == {"w": {n: [1, 2, 3] for n in range(1, 41)}}
+    # a short truncate is not built to the row's longest order
+    orders.clear()
+    next(B._rows([B.V_LOWER_TRUNC(1000), B.V_LOWER_D(1), B.V_UPPER_H(1)], [7]))
+    assert orders == {"f": {7: list(range(1, 1001))}, "sigma": {7: [1]}, "s": {7: [0, 1]}}
+
+
+# SHA-256 of one line "n target label bound exact gap side_ok" per record
+# of verify_bounds(full catalog, 300), floats by repr; taken when every bound
+# was evaluated once per (bound, n), before the bounds at one n shared a row
+_VERIFY_300_RECORDS_SHA256 = "170e6a16d71134f96c0e00d5e099691f7515cdc6047b481d1d89e9377fc01cd6"
+
+
+def test_verify_records_are_pinned():
+    h = hashlib.sha256()
+    for r in A.verify_bounds([s.id for s in B.catalog()], 300):
+        h.update(f"{r.n} {r.bound.target} {r.bound.label()} {r.bound_value!r} "
+                 f"{r.exact_value!r} {r.gap!r} {r.side_ok}\n".encode())
+    assert h.hexdigest() == _VERIFY_300_RECORDS_SHA256

@@ -309,3 +309,54 @@ def test_integer_truncates_match_the_fraction_formulas():
     for bid in ids:
         for n in range(1, 501):
             assert B.eval_bound(bid, n) == _exact_reference(bid, n), (bid.label(), n)
+
+
+def test_truncation_order_is_capped():
+    cap = B._MAX_ORDER
+    for kind in ("lower-trunc", "lower-d", "upper-h"):
+        with pytest.raises(DomainError):
+            B.BoundId("v", kind, cap + 1)
+        with pytest.raises(DomainError):
+            B.parse_label("v", f"{kind}:{cap + 1}")
+        assert B.eval_bound(B.BoundId("v", kind, cap), 7) > 0
+    with pytest.raises(DomainError):
+        B.parse_label("w", "upper-refined:1000000000")
+    for helper in (B.f_m_exact, B.sigma_m, B.s_m, B.w_trunc_exact):
+        with pytest.raises(DomainError):
+            helper(5, cap + 1)
+        assert helper(5, cap) > 0
+
+
+def test_rows_are_the_eval_bound_doubles():
+    # the full catalog shares its truncates and psi values, in ascending m
+    # whatever the order of ids
+    ns = [*range(1, 2001), 99_999, 100_000]
+    for ids in ([s.id for s in B.catalog((1, 2, 3, 4))],
+                [s.id for s in B.catalog((4, 1, 3, 2))][::-1],
+                [B.W_UPPER_MERKLE_Q, B.V_UPPER_H(3), B.V_UPPER_ALZER]):
+        for n, row in zip(ns, B._rows(ids, ns)):
+            want = [B.eval_bound(bid, n) if n >= bid.min_n else None for bid in ids]
+            assert row == want, n
+    with pytest.raises(DomainError):
+        next(B._rows(ids, [bv.MAX_DIMENSION + 1]))
+
+
+def test_truncates_go_on_from_a_lower_order():
+    from ballratio.gautschi import joint_factor_truncate
+
+    for n in (1, 2, 9, 500):
+        ks = range(1, 7)
+        direct = {
+            B._f_m: [joint_factor_truncate(Fraction(n + 1, 2), Fraction(1, 2), m)
+                     for m in range(7)],
+            B._sigma: [sum(Fraction(1, k * (2 * k + n - 1)) for k in ks[:m]) for m in range(7)],
+            B._s: [sum(Fraction(1, (2 * k - 1) * (2 * k + n)) for k in range(m + 1))
+                   for m in range(7)],
+            B._w_trunc: [math.prod(Fraction((2 * k + n) ** 2, (2 * k + n) ** 2 - 1)
+                                   for k in ks[:m]) for m in range(7)],
+        }
+        for loop, want in direct.items():
+            for m in range(7):
+                assert Fraction(*loop(n, m)) == want[m], (loop.__name__, n, m)
+                for k in range(m + 1):
+                    assert loop(n, m, k, *loop(n, k)) == loop(n, m), (loop.__name__, n, k, m)

@@ -236,6 +236,22 @@ def test_below_min_n_exits_three(capsys):
     assert "2" in err
 
 
+def test_truncation_order_above_the_cap_exits_three_at_once(capsys):
+    from ballratio.bounds import _MAX_ORDER
+
+    bounds = ["bounds", "--target", "v", "--n", "5", "--ids"]
+    for argv in ([*bounds, f"lower-trunc:{_MAX_ORDER + 1}"], [*bounds, "lower-trunc:1000000000"],
+                 ["crossover", "--target", "w", "--ids",
+                  f"upper-refined:{_MAX_ORDER + 1},upper-51"]):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 3 and out == "" and str(_MAX_ORDER) in err, argv
+        assert time.perf_counter() - t0 < 1.0
+    rc, out, _ = run_cli(capsys, [*bounds, f"lower-trunc:{_MAX_ORDER}", "--format", "csv"])
+    assert rc == 0
+    assert out.splitlines()[1].startswith("5,0.9375,0.936")
+
+
 def test_partial_flag_blanks_instead(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -236,6 +236,19 @@ def test_float_parts_round_the_exact_parts_once():
         assert sf.digamma_diff(x, Fraction(3, 2)) == float(rational - r3) - (log4s - c3) * sf.LOG4
 
 
+def test_psi_gamma_is_the_difference_from_psi_one(monkeypatch):
+    # psi(1) = -gamma has a rational part of exactly 0, so psi(t/2) + gamma
+    # needs one table read and keeps the bits of psi(t/2) - psi(1)
+    assert sf._psi_rational(2) == 0
+    for t in [*range(1, 3001), *range(3001, 2 * bv.MAX_DIMENSION + 1, 997)]:
+        assert sf._psi_gamma(t) == sf._psi_diff(t, 2), t
+    reads = []
+    real = sf._psi_rational
+    monkeypatch.setattr(sf, "_psi_rational", lambda t: reads.append(t) or real(t))
+    sf._psi_gamma(1001)
+    assert reads == [1001]
+
+
 def _cold(monkeypatch):
     monkeypatch.setattr(sf, "_walk", sf._START)
 
