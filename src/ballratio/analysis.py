@@ -1,30 +1,30 @@
 """Verification sweeps, sharpness comparison, and report assembly.
 
 Exact values are always the oracle side: bounds are compared against
-v_exact/w_exact converted once to double. A verification sweep walks the
-exact oracle once, taking the doubles and the Klein-Rota verdict from the
-same pass (read off the double of w_n, exact only near a tie). It then
-walks n outermost: at each n, every bound comes from one row of
-bounds._rows, which computes each truncate and psi term once for all of
-them, and one generator decides sidedness for the whole row, with
-the tie scale taken once per n and target. `verify_bounds` keeps one record
-per (bound, n), bound by bound, while `verify_tally` streams per-bound
-counts and margins without building any record. `make_table` and
-`crossover` take their values from the same rows. Sharpness comparisons
-between two bounds are strict; when two doubles land within 1e-12
-(relative) of each other the comparison is re-done at 30 significant
-digits so that integer thresholds cannot flip through rounding.
+the correctly rounded doubles of v_exact/w_exact. A verification sweep
+reads them from one pass of ballvol.ratio_walk, which also decides
+Klein-Rota's w_n < 1 + 1/n at every n in integers; klein_rota_check reads
+the same walk. The sweep then walks n outermost: at each n, every bound
+comes from one row of bounds._rows, which computes each truncate and psi
+term once for all of them, and one generator decides sidedness for the
+whole row, with the tie scale taken once per n and target. `verify_bounds`
+keeps one record per (bound, n), bound by bound, while `verify_tally`
+streams per-bound counts and margins without building any record.
+`make_table` and `crossover` take their values from the same rows.
+Sharpness comparisons between two bounds are strict; when two doubles
+land within 1e-12 (relative) of each other the comparison is re-done at
+30 significant digits so that integer thresholds cannot flip through
+rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
-from .ballvol import MAX_DIMENSION, exact_ratios, v_exact, w_exact
+from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
 from .bounds import BoundId, _rows, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _dps, _log_partial
@@ -84,39 +84,15 @@ class VerifyTally:
     klein_rota_ok: bool
 
 
-# to_real() of w_n is within 2^-50 relative of it (mantissa and product
-# each rounded once, pi^p within a few ulps for |p| <= 4, 128 bits beyond).
-# w_real * n < (n + 1) * _KLEIN_ROTA_SLACK, with each side rounded once
-# more, then proves w_n < 1 + 1/n with about 2^-49 to spare.
-_KLEIN_ROTA_SLACK = 1.0 - 2.0**-48
-
-
-def _klein_rota_holds(n: int, w) -> bool:
-    """Exact w_n < 1 + 1/n."""
-    return w.compare_to_fraction(Fraction(n + 1, n)) == -1
-
-
-def _klein_rota_from_double(n: int, w, w_real: float) -> bool:
-    """_klein_rota_holds(n, w), decided from w_real = w.to_real() unless
-    it lies within 2^-48 (relative) of 1 + 1/n. w_n sits about 1/(2n) below
-    it, so the exact compare is left for a band that no n <= MAX_DIMENSION
-    reaches."""
-    return w_real * n < (n + 1) * _KLEIN_ROTA_SLACK or _klein_rota_holds(n, w)
-
-
 def _oracle(n_max: int) -> tuple[dict[str, list[float]], bool]:
-    """One exact walk to n_max: the doubles of v_n and w_n, indexed by n,
-    and whether Klein-Rota's w_n < 1 + 1/n holds at every n."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    reals: dict[str, list[float]] = {"v": [0.0], "w": [0.0]}
-    klein_ok = True
-    for n, v, w in exact_ratios(n_max):
-        w_real = w.to_real()
-        reals["v"].append(v.to_real())
-        reals["w"].append(w_real)
-        klein_ok = klein_ok and _klein_rota_from_double(n, w, w_real)
-    return reals, klein_ok
+    """The doubles of v_n and w_n, indexed by n, and whether Klein-Rota's
+    w_n < 1 + 1/n holds at every n, from one ratio_walk to n_max."""
+    v, w, klein_ok = [0.0], [0.0], True
+    for _, v_n, w_n, klein in ratio_walk(n_max):
+        v.append(v_n)
+        w.append(w_n)
+        klein_ok = klein_ok and klein
+    return {"v": v, "w": w}, klein_ok
 
 
 def _evaluate(ids: list[BoundId], reals: dict[str, list[float]]):
@@ -248,10 +224,9 @@ def partials_below_upper_cap(n: int, m_max: int) -> bool:
 
 
 def klein_rota_check(n_max: int) -> bool:
-    """Exact check that w_n < 1 + 1/n for every n up to n_max."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return all(_klein_rota_holds(n, w) for n, _, w in exact_ratios(n_max))
+    """Rigorous check that w_n < 1 + 1/n for every n up to n_max, decided
+    by the ratio walk that verify reads."""
+    return all(klein for *_, klein in ratio_walk(n_max))
 
 
 def make_table(

@@ -11,11 +11,10 @@ integer power of pi, with closed forms in integers (C = C(2k, k)):
 
 C has exactly popcount(k) factors of 2 (Kummer), so shifting them out
 leaves every v_n mantissa an odd integer over a power of two or the
-reverse: it is in lowest terms without a gcd. `exact_ratios` walks v_n and
-w_n in order through v_{n+1} = (n+1)/(2 pi v_n) and
-w_{n+1} = (n+2)/((n+1) w_n), reducing each step with gcds against small
-integers. Nothing is tabulated, and no dimension above MAX_DIMENSION is
-accepted, so time and memory stay bounded for any input.
+reverse: it is in lowest terms without a gcd. Sweeps need no mantissa:
+`ratio_walk` follows M_n in v_n = M_n pi^p (p = 0 at odd n, -1 at even n),
+w_n = (n+1)/(2 M_n^2) pi^(-2p-1), by M_{n+1} = (n+1)/(2 M_n) as a bracket of
+fixed-point integers. No dimension above MAX_DIMENSION is accepted.
 
 Values stay exact and convert to float only at the edge, so gap
 measurements against bounds never inherit product-truncation error. The
@@ -45,8 +44,8 @@ PI_HI = PI_LO + Fraction(1, 10**34)
 
 # Largest dimension the exact oracle accepts. Mantissas grow like n log n
 # bits and their cost a little faster than n^2: at the cap v_exact and
-# w_exact take about 0.2 s each (25 and 50 kB mantissas), and exact_ratios
-# walks to it in about 20 s.
+# w_exact take about 0.2 s each (25 and 50 kB mantissas); ratio_walk,
+# which keeps no mantissa, walks to it in under a second.
 MAX_DIMENSION = 100_000
 
 
@@ -189,21 +188,53 @@ def w_exact(n: int) -> ExactBallValue:
                           -2 * v.pi_power - 1)
 
 
-def exact_ratios(n_max: int) -> Iterator[tuple[int, ExactBallValue, ExactBallValue]]:
-    """(n, v_n, w_n) for n = 1..n_max in order, each step from the last by
-    v_{n+1} = (n+1)/(2 pi v_n) and w_{n+1} = (n+2)/((n+1) w_n)."""
-    if n_max > MAX_DIMENSION:
-        raise DomainError(f"exact ratios need n <= {MAX_DIMENSION}, got {n_max}")
-    v = ExactBallValue(Fraction(1, 2), 0)
-    w = ExactBallValue(Fraction(4), -1)
+# Fixed-point bits of ratio_walk. Each step widens the bracket of M_n by
+# about one unit in the last place: at the cap it is near 1e-74 wide
+# (relative), far inside a double's rounding and the 1e-34 of the pi bracket.
+_WALK_BITS = 256
+
+# By n & 1: (num, den) of pi^q, q = 1 at even n and -1 at odd n, at the end
+# of the pi bracket that makes n pi^q largest, then at the one that makes it least
+_PI_ENDS = (((PI_HI.numerator, PI_HI.denominator), (PI_LO.numerator, PI_LO.denominator)),
+            ((PI_LO.denominator, PI_LO.numerator), (PI_HI.denominator, PI_HI.numerator)))
+
+
+def _klein_rota(n: int, sq_lo: int, sq_hi: int, bits: int) -> bool:
+    """w_n < 1 + 1/n, i.e. n pi^q < 2 M_n^2, given sq_lo <= 2 (M_n 2^bits)^2
+    <= sq_hi. It holds if the low end says so against the far pi end, fails
+    if the high end says so against the near one, and raises otherwise."""
+    (far, far_den), (near, near_den) = _PI_ENDS[n & 1]
+    if (n * far) << 2 * bits < sq_lo * far_den:
+        return True
+    if (n * near) << 2 * bits >= sq_hi * near_den:
+        return False
+    raise BallRatioError(f"the ratio walk cannot decide w_n < 1 + 1/n at n={n}")
+
+
+def ratio_walk(n_max: int) -> Iterator[tuple[int, float, float, bool]]:
+    """(n, v_n, w_n, w_n < 1 + 1/n) for n = 1..n_max in order, with v_n and
+    w_n as doubles, bit for bit those of ExactBallValue.to_real.
+
+    lo <= M_n 2^B <= hi is walked by lo' = floor((n+1) 2^2B / (2 hi)) and
+    hi' = ceil((n+1) 2^2B / (2 lo)). Int true division rounds correctly and
+    monotonically, so ends that round alike give M_n's double (W_n's alike);
+    ends that round apart raise rather than guessing."""
+    if not 1 <= n_max <= MAX_DIMENSION:
+        raise DomainError(f"n_max must lie in [1, {MAX_DIMENSION}], got {n_max}")
+    bits = _WALK_BITS
+    one = 1 << bits
+    lo = hi = one >> 1  # M_1 = 1/2
+    pi_powers = ((math.pi**-1, math.pi**1), (math.pi**0, math.pi**-1))  # to_real's, by n & 1
     for n in range(1, n_max + 1):
-        yield n, v, w
-        a, b = v.mantissa.numerator, v.mantissa.denominator
-        c, d = w.mantissa.numerator, w.mantissa.denominator
-        # gcd((n+1) b, 2a) divides 2(n+1); gcd((n+2) d, (n+1) c) divides (n+1)(n+2)
-        v = ExactBallValue(_fraction((n + 1) * b, 2 * a, 2 * (n + 1)), -1 - v.pi_power)
-        w = ExactBallValue(_fraction((n + 2) * d, (n + 1) * c, (n + 1) * (n + 2)),
-                           -w.pi_power)
+        sq_lo, sq_hi = 2 * lo * lo, 2 * hi * hi
+        top = (n + 1) << 3 * bits  # W_n 2^B = (n+1) 2^3B / (2 (M_n 2^B)^2)
+        v, w = lo / one, top // sq_hi / one
+        if v != hi / one or w != -(-top // sq_lo) / one:
+            raise BallRatioError(f"the ratio walk's bracket is too wide at n={n}")
+        v_pi, w_pi = pi_powers[n & 1]
+        yield n, v * v_pi, w * w_pi, _klein_rota(n, sq_lo, sq_hi, bits)
+        top = (n + 1) << 2 * bits
+        lo, hi = top // (2 * hi), -(-top // (2 * lo))
 
 
 def v_product(n: int, ctrl: TruncationControl | None = None) -> float:
@@ -238,13 +269,15 @@ def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
     if ctrl.is_fixed:
         m = ctrl.m
     else:
-        m = max(0, int((1.0 / (2.0 * ctrl.eps) - n - 1.0) / 2.0) + 1)
-        if m > ctrl.max_terms:
+        # int(q) + 1 factors are needed: over max_terms iff q >= max_terms (q may be inf)
+        q = (1.0 / (2.0 * ctrl.eps) - n - 1.0) / 2.0
+        if q >= ctrl.max_terms:
             cap = ctrl.max_terms
             raise NonConvergenceError(
-                f"w product at n={n} needs {m} factors for eps={ctrl.eps}",
+                f"w product at n={n} needs over {cap} factors for eps={ctrl.eps}",
                 partial=_w_partial(n, cap),
                 tail_bound=1.0 / (2.0 * (2.0 * cap + n + 1.0)),
                 terms=cap,
             )
+        m = max(0, int(q) + 1)
     return _w_partial(n, m)

@@ -69,7 +69,7 @@ def _dps(x: float, m: int) -> int:
     """Working digits for log f_m: double precision and guard digits, plus the
     ~log10((m+x) log(m+x)) digits lost where the loggamma terms cancel."""
     t = m + x + 3.0
-    return 20 + math.ceil(math.log10(t * math.log(t)))
+    return 20 + math.ceil(math.log10(t) + math.log10(math.log(t)))  # t log t may overflow
 
 
 def _log_partial(x: float, a: float, m: int) -> mpmath.mpf:
@@ -100,24 +100,6 @@ def _tail_bound(xf: float, af: float, m: int) -> float:
     return abs(c / denom * math.log1p(denom / (m - af)))
 
 
-def _minimal_m(xf: float, af: float, eps: float) -> int:
-    """Smallest m >= 1 whose certified tail bound drops below eps."""
-    if _tail_bound(xf, af, 1) < eps:
-        return 1
-    c = af * (xf + af - 1.0)
-    hi = max(2, int(c / eps) + 2)
-    while _tail_bound(xf, af, hi) >= eps:
-        hi *= 2
-    lo = 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _tail_bound(xf, af, mid) < eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductResult:
     """Evaluate f(x,a) under the given truncation policy, with diagnostics."""
     xf, af = _validate(x, a)
@@ -135,15 +117,23 @@ def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductR
                 "tolerance mode needs factors >= 1, i.e. a(x+a-1) >= 0; "
                 f"got x={x!r}, a={a!r}"
             )
-        m = _minimal_m(xf, af, ctrl.eps)
-        if m > ctrl.max_terms:
-            cap = ctrl.max_terms
+        # the tail bound decreases in m: if it misses eps at max_terms, every
+        # m <= max_terms does; else bisect for the least m >= 1 that meets it
+        lo, m = 0, ctrl.max_terms
+        tail = _tail_bound(xf, af, m)
+        if tail >= ctrl.eps:
             raise NonConvergenceError(
-                f"joint factor at x={xf}, a={af} needs {m} factors for eps={ctrl.eps}",
-                partial=float(mpmath.exp(_log_partial(xf, af, cap))),
-                tail_bound=_tail_bound(xf, af, cap),
-                terms=cap,
+                f"joint factor at x={xf}, a={af} needs over {m} factors for eps={ctrl.eps}",
+                partial=float(mpmath.exp(_log_partial(xf, af, m))),
+                tail_bound=tail,
+                terms=m,
             )
+        while m - lo > 1:
+            mid = (lo + m) // 2
+            if _tail_bound(xf, af, mid) < ctrl.eps:
+                m = mid
+            else:
+                lo = mid
     return ProductResult(
         value=float(mpmath.exp(_log_partial(xf, af, m))),
         terms_used=m,

@@ -232,14 +232,15 @@ def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
     if ctrl.is_fixed:
         terms = ctrl.m
     else:
-        terms = math.ceil(abs(xf) / ctrl.eps)
-        if terms > ctrl.max_terms:
+        need = abs(xf) / ctrl.eps  # may be inf; ceil(need) > max_terms iff need is
+        if need > ctrl.max_terms:
             raise NonConvergenceError(
-                f"digamma series at x={xf} needs {terms} terms for eps={ctrl.eps}",
+                f"digamma series at x={xf} needs over {ctrl.max_terms} terms for eps={ctrl.eps}",
                 partial=_series_partial(xf, ctrl.max_terms),
                 tail_bound=abs(xf) / ctrl.max_terms,
                 terms=ctrl.max_terms,
             )
+        terms = math.ceil(need)
     return _series_partial(xf, terms)
 
 

@@ -4,7 +4,6 @@ and the robust chain margins."""
 import dataclasses
 import hashlib
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +11,8 @@ from hypothesis import given, strategies as st
 from ballratio import analysis as A
 from ballratio import ballvol as bv
 from ballratio import bounds as B
-from ballratio.errors import DomainError
+from ballratio.cli import main
+from ballratio.errors import BallRatioError, DomainError
 
 
 def test_verify_records_shape_and_gaps():
@@ -205,13 +205,29 @@ def test_verify_decides_klein_rota_from_the_doubles(monkeypatch):
     assert ok is True and ok == A.klein_rota_check(2000)
 
 
-def test_klein_rota_double_defers_to_exact_near_the_tie(monkeypatch):
-    w = bv.w_exact(10)
-    seen = []
-    monkeypatch.setattr(bv.ExactBallValue, "compare_to_fraction",
-                        lambda self, q: seen.append(q) or -1)
-    assert A._klein_rota_from_double(10, w, w.to_real()) and seen == []
-    assert A._klein_rota_from_double(10, w, 1.1) and seen == [Fraction(11, 10)]
+def test_klein_rota_decision_from_the_bracket():
+    bits = 8
+    # n = 10: w_n < 1 + 1/n reads 10 pi < 2 M_10^2, with M_10 = 256/63
+    sq = 2 * (256 * 2**bits // 63) ** 2, 2 * (-(-256 * 2**bits // 63)) ** 2
+    assert bv._klein_rota(10, *sq, bits)
+    # M = 1 violates it: 10 pi > 2
+    assert bv._klein_rota(10, 2 << 2 * bits, 2 << 2 * bits, bits) is False
+    # odd n: 11 / pi < 2 M^2 fails at M = 1, holds at M = 2
+    assert bv._klein_rota(11, 2 << 2 * bits, 2 << 2 * bits, bits) is False
+    assert bv._klein_rota(11, 8 << 2 * bits, 8 << 2 * bits, bits) is True
+    # a bracket from M = 1 to M = 4 straddles 10 pi = 2 M^2
+    with pytest.raises(BallRatioError):
+        bv._klein_rota(10, 2 << 2 * bits, 32 << 2 * bits, bits)
+
+
+def test_klein_rota_violation_is_reported_not_raised(monkeypatch, capsys):
+    # with pi taken as 10 the claim 2 * 10 < 2 M_2^2 = 8 fails at n = 2
+    monkeypatch.setattr(bv, "_PI_ENDS", (((10, 1),) * 2, ((1, 10),) * 2))
+    assert A.klein_rota_check(1) is True
+    assert A.klein_rota_check(2) is False
+    assert A.verify_tally([B.W_UPPER_51], 30).klein_rota_ok is False
+    assert main(["verify", "--n-max", "30"]) == 1
+    assert "klein_rota_ok: no" in capsys.readouterr().out
 
 
 def test_klein_rota_small():

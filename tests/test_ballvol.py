@@ -2,7 +2,9 @@
 evaluators."""
 
 import decimal
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -157,6 +159,23 @@ def test_w_product_budget():
     assert 0 < exc.value.partial < bv.w_exact(1).to_real()
 
 
+@pytest.mark.parametrize("eps", [1e-310, 5e-324])
+@pytest.mark.parametrize("fn, over", [(bv.v_product, math.pi), (bv.w_product, 1.0)])
+def test_products_tiny_tolerance_exhausts_the_budget(fn, over, eps):
+    # the needed term count overflows a float; the budget is exceeded all the
+    # same (v_n's partial is the joint factor's, before the division by pi)
+    with pytest.raises(NonConvergenceError) as exc:
+        fn(3, TruncationControl.tolerance(eps, max_terms=1000))
+    assert exc.value.terms == 1000
+    assert exc.value.partial / over == fn(3, TruncationControl.fixed(1000))
+
+
+def test_products_at_huge_dimensions():
+    # x = (n + 1)/2 near 5e306: only the first factors' k/(k - 1/2) remain
+    assert abs(bv.v_product(10**307, TruncationControl.fixed(3)) - 3.2 / math.pi) < 1e-15
+    assert bv.w_product(10**307, TruncationControl.fixed(3)) == 1.0
+
+
 def test_product_domains():
     for fn in (bv.v_product, bv.w_product):
         with pytest.raises(DomainError):
@@ -165,19 +184,33 @@ def test_product_domains():
             fn(-2)
 
 
-def _parts(value):
-    return value.mantissa.numerator, value.mantissa.denominator, value.pi_power
+def test_ratio_walk_matches_closed_forms():
+    walked = list(bv.ratio_walk(bv.MAX_DIMENSION))
+    assert [n for n, *_ in walked] == list(range(1, bv.MAX_DIMENSION + 1))
+    for n in [*range(1, 2001), *range(2001, bv.MAX_DIMENSION, 19_999), bv.MAX_DIMENSION]:
+        _, v, w, klein = walked[n - 1]
+        w_exact = bv.w_exact(n)
+        assert v == bv.v_exact(n).to_real(), n
+        assert w == w_exact.to_real(), n
+        assert klein == (w_exact.compare_to_fraction(Fraction(n + 1, n)) == -1), n
 
 
-def test_exact_ratios_walk_matches_closed_forms():
-    walked = {n: (v, w) for n, v, w in bv.exact_ratios(10_000)}
-    assert sorted(walked) == list(range(1, 10_001))
-    for n in [*range(1, 2001), 9999, 10_000]:
-        v, w = walked[n]
-        assert _parts(v) == _parts(bv.v_exact(n)), n
-        assert _parts(w) == _parts(bv.w_exact(n)), n
-        for value in (v, w):  # in lowest terms, as the constructor would leave it
-            assert math.gcd(value.mantissa.numerator, value.mantissa.denominator) == 1
+def test_ratio_walk_doubles_are_pinned_to_the_cap():
+    # SHA-256 of the little-endian doubles v_1..v_N, then w_1..w_N, at
+    # N = MAX_DIMENSION, taken from the exact rational walk it replaced
+    walked = list(bv.ratio_walk(bv.MAX_DIMENSION))
+    blob = b"".join(struct.pack(f"<{len(walked)}d", *(row[k] for row in walked))
+                    for k in (1, 2))
+    assert (hashlib.sha256(blob).hexdigest()
+            == "407c8de1a789ab8e4fa235eb4c9e3ecd905ff8b778def196c8941e2ed91ae93e")
+
+
+def test_ratio_walk_raises_on_a_bracket_too_narrow(monkeypatch):
+    # 16 bits leave M_n = 8/3 at n = 4 (and W_3 = 32/9) with ends that
+    # round to different doubles
+    monkeypatch.setattr(bv, "_WALK_BITS", 16)
+    with pytest.raises(BallRatioError, match="too wide"):
+        list(bv.ratio_walk(50))
 
 
 def test_omega_matches_factorial_formula():
@@ -219,8 +252,9 @@ def test_dimension_cap():
     for fn in (bv.omega_exact, bv.v_exact, bv.w_exact):
         with pytest.raises(DomainError):
             fn(top + 1)
-    with pytest.raises(DomainError):
-        next(bv.exact_ratios(top + 1))
+    for n_max in (0, top + 1):
+        with pytest.raises(DomainError):
+            next(bv.ratio_walk(n_max))
     a, b = bv.v_exact(top - 1), bv.v_exact(top)
     assert a.mantissa * b.mantissa == Fraction(top, 2)
 

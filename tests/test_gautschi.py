@@ -141,6 +141,27 @@ def test_budget_exhaustion_carries_partial():
     assert 0 < true_f - err.partial < 2 * err.tail_bound * true_f
 
 
+@pytest.mark.parametrize("eps", [1e-310, 5e-324])
+@pytest.mark.parametrize("fn", [ga.joint_factor, ga.joint_factor_result, ga.gautschi_ratio])
+def test_tiny_tolerance_exhausts_the_budget(fn, eps):
+    # c / eps overflows a float here; the budget is exceeded all the same
+    with pytest.raises(NonConvergenceError) as exc:
+        fn(2.0, 0.5, TruncationControl.tolerance(eps, max_terms=1000))
+    err = exc.value
+    assert err.terms == 1000
+    assert err.partial == float(mpmath.exp(ga._log_partial(2.0, 0.5, 1000)))
+    assert err.tail_bound == ga._tail_bound(2.0, 0.5, 1000)
+
+
+def test_dps_stays_finite_for_huge_arguments():
+    # 1e306 log(1e306) overflows a double; its log10 is 308.85
+    assert ga._dps(1e306, 0) == 20 + 309
+    assert ga._dps(1e308, 10**8) == 20 + 311
+    got = ga.joint_factor(1e306, 0.5, TruncationControl.fixed(5))
+    want = float(ga.joint_factor_truncate(Fraction(10**306), Fraction(1, 2), 5))
+    assert abs(got - want) < 1e-15 * want
+
+
 def test_ratio_half_shift_spot_values():
     ctrl = TruncationControl.tolerance(1e-6)
     cases = [

@@ -131,6 +131,16 @@ def test_series_budget_exhaustion():
     assert abs(err.partial - sf.digamma_closed(2)) < 1e-7
 
 
+@pytest.mark.parametrize("eps", [1e-310, 5e-324])
+def test_series_tiny_tolerance_exhausts_the_budget(eps):
+    # |x| / eps overflows a float; the budget is exceeded all the same
+    with pytest.raises(NonConvergenceError) as exc:
+        sf.digamma_series(1.5, TruncationControl.tolerance(eps, max_terms=1000))
+    err = exc.value
+    assert err.terms == 1000 and err.tail_bound == 1.5 / 1000
+    assert err.partial == sf.digamma_series(1.5, TruncationControl.fixed(1000))
+
+
 def test_series_domain():
     with pytest.raises(DomainError):
         sf.digamma_series(-1.0)
