@@ -27,7 +27,7 @@ import mpmath
 from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
 from .bounds import BoundId, _rows, eval_bound_mp
 from .errors import DomainError
-from .gautschi import _dps, _log_partial
+from .gautschi import _double, _dps, _least, _log_partial
 
 # sidedness slack: gap > -TIE_REL * scale counts as correct-sided, which
 # admits the one documented exact-equality case without admitting real flips
@@ -84,47 +84,30 @@ class VerifyTally:
     klein_rota_ok: bool
 
 
-def _oracle(n_max: int) -> tuple[dict[str, list[float]], bool]:
-    """The doubles of v_n and w_n, indexed by n, and whether Klein-Rota's
-    w_n < 1 + 1/n holds at every n, from one ratio_walk to n_max."""
-    v, w, klein_ok = [0.0], [0.0], True
-    for _, v_n, w_n, klein in ratio_walk(n_max):
-        v.append(v_n)
-        w.append(w_n)
-        klein_ok = klein_ok and klein
-    return {"v": v, "w": w}, klein_ok
-
-
-def _evaluate(ids: list[BoundId], reals: dict[str, list[float]]):
-    """For each n from 1 to the end of the oracle: n, and one (index into
-    ids, bound value, exact value, gap, margin, side_ok) per bound of ids
-    valid at n, target by target. All bounds at n come from one row of
-    _rows, and the scale max(1, |exact|) of the tie slack is taken once per
-    n and target; margin is gap / scale. Sidedness is decided here and
-    nowhere else."""
-    by_target = [(col, [(i, bid.side == "lower") for i, bid in enumerate(ids)
-                        if bid.target == target])
-                 for target, col in reals.items()]
-    ns = range(1, len(reals["v"]))
-    for n, values in zip(ns, _rows(ids, ns)):
+def _evaluate(ids: list[BoundId], n_max: int):
+    """For each n from 1 to n_max, from one step of ratio_walk and one row of
+    _rows: n, Klein-Rota's w_n < 1 + 1/n, and one (index into ids, bound value,
+    exact value, gap, gap / max(1, |exact|) as margin, side_ok) per bound of ids
+    valid at n, target by target. Sidedness is decided here and nowhere else."""
+    by_target = [[(i, bid.side == "lower") for i, bid in enumerate(ids) if bid.target == target]
+                 for target in ("v", "w")]
+    for (n, v_n, w_n, klein), values in zip(ratio_walk(n_max), _rows(ids, range(1, n_max + 1))):
         row = []
-        for col, members in by_target:
-            ev = col[n]
+        for ev, members in zip((v_n, w_n), by_target):
             scale = max(1.0, abs(ev))
             for i, lower in members:
                 bv = values[i]
                 if bv is not None:
                     gap = ev - bv if lower else bv - ev
                     row.append((i, bv, ev, gap, gap / scale, gap > -TIE_REL * scale))
-        yield n, row
+        yield n, klein, row
 
 
 def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
     """One record per (bound, n) with n from the bound's min_n up to n_max,
     bound by bound in ids order."""
-    reals, _ = _oracle(n_max)
     records: list[list[EvaluationRecord]] = [[] for _ in ids]
-    for n, row in _evaluate(ids, reals):
+    for n, _, row in _evaluate(ids, n_max):
         for i, bv, ev, gap, _, ok in row:
             records[i].append(EvaluationRecord(n, ids[i], bv, ev, gap, ok))
     return [r for per_bound in records for r in per_bound]
@@ -133,12 +116,13 @@ def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
 def verify_tally(ids: list[BoundId], n_max: int) -> VerifyTally:
     """verify_bounds counted per bound, with each bound's smallest margin,
     and the Klein-Rota verdict from the same exact walk; no record is kept."""
-    reals, klein_ok = _oracle(n_max)
     checked = [0] * len(ids)
     ok_count = [0] * len(ids)
     min_margin: list[float | None] = [None] * len(ids)
     argmin_n: list[int | None] = [None] * len(ids)
-    for n, row in _evaluate(ids, reals):
+    klein_ok = True
+    for n, klein, row in _evaluate(ids, n_max):
+        klein_ok = klein_ok and klein
         for i, _, _, _, margin, ok in row:
             checked[i] += 1
             ok_count[i] += ok
@@ -193,25 +177,26 @@ def _log_half_sqrt_pi(n: int, shift: int, m: int) -> mpmath.mpf:
 
 
 def product_overtake_index(n: int, r_max: int) -> int | None:
-    """Least r with prod_{k=1}^r (2k/(2k-1))((2k+n-1)/(2k+n)) above
-    sqrt(pi(2n+1))/2, bisecting over r <= r_max since partials increase;
-    None when none does. A finite one exists, as (pi v_n)^2 > pi(2n+1)/4."""
+    """Least r with prod_{k=1}^r (2k/(2k-1))((2k+n-1)/(2k+n)) = f_r((n+1)/2, 1/2)
+    above sqrt(pi(2n+1))/2, or None if no r <= r_max has it; one exists, as
+    (pi v_n)^2 > pi(2n+1)/4. With c = n/4, d = (n-1)/2, the tail log f - log f_r
+    lies in [c/d log1p(d/(r+1)), c/(d+1) log1p((d+1)/(r-1/2))]; solving each
+    end below D = log f - log target brackets r, which the partials check."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    x = _double(n + 1, "n") / 2.0
     if r_max < 1:
         return None
-    x = (n + 1) / 2.0
     target = _log_half_sqrt_pi(n, 1, r_max)
-    if not _log_partial(x, 0.5, r_max) > target:
-        return None
-    lo, hi = 0, r_max  # P(lo) <= target < P(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _log_partial(x, 0.5, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lg, c, d = mpmath.loggamma, n / 4.0, (n - 1) / 2.0
+    with mpmath.workdps(_dps(x, r_max)):
+        room = float(lg(x + 0.5) + lg(mpmath.mpf(0.5)) - lg(x) - target)  # D
+    try:
+        guess = (math.floor(d / math.expm1(room * d / c) if d else c / room),
+                 math.floor(0.5 + (d + 1) / math.expm1(room * (d + 1) / c)) + 1)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        guess = (1, r_max)  # no narrowing
+    return _least(lambda r: _log_partial(x, 0.5, r) > target, 0, r_max, guess)
 
 
 def partials_below_upper_cap(n: int, m_max: int) -> bool:
@@ -220,7 +205,7 @@ def partials_below_upper_cap(n: int, m_max: int) -> bool:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     m = max(m_max, 0)
-    return _log_partial((n + 1) / 2.0, 0.5, m) < _log_half_sqrt_pi(n, 2, m)
+    return _log_partial(_double(n + 1, "n") / 2.0, 0.5, m) < _log_half_sqrt_pi(n, 2, m)
 
 
 def klein_rota_check(n_max: int) -> bool:

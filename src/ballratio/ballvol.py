@@ -34,7 +34,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import BallRatioError, DomainError, NonConvergenceError
-from .gautschi import _log_partial, joint_factor
+from .gautschi import _double, _log_partial, joint_factor
 from .truncation import TruncationControl
 
 # 34-digit brackets: PI_LO < pi < PI_HI. Wide enough to separate every
@@ -245,12 +245,16 @@ def v_product(n: int, ctrl: TruncationControl | None = None) -> float:
     """
     if n < 1:
         raise DomainError(f"v_n needs n >= 1, got {n}")
-    return joint_factor((n + 1) / 2.0, 0.5, ctrl) / math.pi
+    try:
+        return joint_factor(_double(n + 1, "n") / 2.0, 0.5, ctrl) / math.pi
+    except NonConvergenceError as exc:  # the partial of v_n, not of the joint factor
+        raise NonConvergenceError(f"v product at n={n} needs over {exc.terms} factors",
+                                  exc.partial / math.pi, exc.tail_bound, exc.terms) from exc
 
 
 def _w_partial(n: int, m: int) -> float:
     # the w factors are the quotient of the joint factors at x + 1/2 and x
-    x = (n + 1) / 2.0
+    x = _double(n + 1, "n") / 2.0
     return float(mpmath.exp(mpmath.fsub(_log_partial(x + 0.5, 0.5, m),
                                         _log_partial(x, 0.5, m), exact=True)))
 
@@ -264,19 +268,20 @@ def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
     """
     if n < 1:
         raise DomainError(f"w_n needs n >= 1, got {n}")
+    nf = _double(n, "n")
     if ctrl is None:
         ctrl = TruncationControl.tolerance()
     if ctrl.is_fixed:
         m = ctrl.m
     else:
         # int(q) + 1 factors are needed: over max_terms iff q >= max_terms (q may be inf)
-        q = (1.0 / (2.0 * ctrl.eps) - n - 1.0) / 2.0
+        q = (1.0 / (2.0 * ctrl.eps) - nf - 1.0) / 2.0
         if q >= ctrl.max_terms:
             cap = ctrl.max_terms
             raise NonConvergenceError(
                 f"w product at n={n} needs over {cap} factors for eps={ctrl.eps}",
                 partial=_w_partial(n, cap),
-                tail_bound=1.0 / (2.0 * (2.0 * cap + n + 1.0)),
+                tail_bound=1.0 / (2.0 * (2.0 * cap + nf + 1.0)),
                 terms=cap,
             )
         m = max(0, int(q) + 1)

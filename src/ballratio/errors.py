@@ -13,9 +13,9 @@ class NonConvergenceError(BallRatioError, RuntimeError):
     """A tolerance-mode truncation hit its term budget before the tail
     bound dropped below the requested tolerance.
 
-    Carries the partial value, the tail bound achieved at the cutoff, and
-    the number of terms consumed, so callers can decide whether the partial
-    is still useful.
+    Carries the partial value of what was asked for (v_n's for v_product, not
+    the joint factor's), the tail bound at the cutoff (log-scale for the
+    products) and the number of terms consumed.
     """
 
     def __init__(self, message: str, partial: float, tail_bound: float, terms: int):

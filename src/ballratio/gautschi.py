@@ -9,7 +9,8 @@ product converges like O(1/m): slow, which is why exact needs route
 through ballvol instead of through tighter tolerances here. Each partial
 product is a quotient of gamma functions, so its log is evaluated in closed
 form from loggamma (DLMF 5.11) at any m; tails are certified by an integral
-comparison bound.
+comparison bound, which tolerance mode inverts in closed form to guess the
+least m that meets eps; the bound itself checks the guess.
 """
 
 from __future__ import annotations
@@ -37,8 +38,42 @@ class ProductResult:
     tail_bound: float
 
 
+def _double(value, name: str) -> float:
+    """float(value), raising DomainError where a double cannot hold it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is beyond the range of a double") from None
+
+
+def _least(pred, lo: int, hi: int, guess: tuple[int, int]) -> int | None:
+    """Least r in (lo, hi] with pred(r), or None if pred(hi) is false, for pred
+    false then true on (lo, hi]; pred is never called at lo. guess = (g, h)
+    claims pred(h) is true and pred(g - 1) false; a claim that fails is retried
+    in doubling steps away from the guess, so a guess off by k costs about
+    log2(k) calls. What is left is bisected."""
+    found, probe, step = False, guess[1], 1
+    while not found and lo < probe <= hi:
+        if pred(probe):
+            hi, found = probe, True
+        else:
+            lo, probe, step = probe, probe + step, 2 * step
+    probe, step = guess[0] - 1, 1
+    while lo < probe < hi:
+        if pred(probe):
+            hi, found, probe, step = probe, True, probe - step, 2 * step
+        else:
+            lo = probe
+    if not (found or lo < hi and pred(hi)):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
 def _validate(x, a) -> tuple[float, float]:
-    xf, af = float(x), float(a)
+    xf, af = _double(x, "x"), _double(a, "a")
     if not 0.0 < xf < math.inf:
         raise DomainError(f"x must be positive and finite, got {x!r}")
     if not af < 1.0:
@@ -68,8 +103,11 @@ def joint_factor_truncate(x, a, m: int):
 def _dps(x: float, m: int) -> int:
     """Working digits for log f_m: double precision and guard digits, plus the
     ~log10((m+x) log(m+x)) digits lost where the loggamma terms cancel."""
-    t = m + x + 3.0
-    return 20 + math.ceil(math.log10(t) + math.log10(math.log(t)))  # t log t may overflow
+    try:
+        t = m + x + 3.0
+        return 20 + math.ceil(math.log10(t) + math.log10(math.log(t)))  # t log t may overflow
+    except OverflowError:
+        raise DomainError("truncation order m + x is beyond the range of a double") from None
 
 
 def _log_partial(x: float, a: float, m: int) -> mpmath.mpf:
@@ -113,32 +151,25 @@ def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductR
             # x = 1 - a (or a = 0): every factor is exactly 1
             return ProductResult(value=1.0, terms_used=0, tail_bound=0.0)
         if c < 0.0:
-            raise DomainError(
-                "tolerance mode needs factors >= 1, i.e. a(x+a-1) >= 0; "
-                f"got x={x!r}, a={a!r}"
-            )
-        # the tail bound decreases in m: if it misses eps at max_terms, every
-        # m <= max_terms does; else bisect for the least m >= 1 that meets it
-        lo, m = 0, ctrl.max_terms
-        tail = _tail_bound(xf, af, m)
-        if tail >= ctrl.eps:
+            raise DomainError("tolerance mode needs factors >= 1, i.e. a(x+a-1) >= 0; "
+                              f"got x={x!r}, a={a!r}")
+        # the tail bound decreases in m: if it misses eps at max_terms, every m does
+        cap, eps = ctrl.max_terms, ctrl.eps
+        tail = _tail_bound(xf, af, cap)
+        if tail >= eps:
             raise NonConvergenceError(
-                f"joint factor at x={xf}, a={af} needs over {m} factors for eps={ctrl.eps}",
-                partial=float(mpmath.exp(_log_partial(xf, af, m))),
-                tail_bound=tail,
-                terms=m,
-            )
-        while m - lo > 1:
-            mid = (lo + m) // 2
-            if _tail_bound(xf, af, mid) < ctrl.eps:
-                m = mid
-            else:
-                lo = mid
-    return ProductResult(
-        value=float(mpmath.exp(_log_partial(xf, af, m))),
-        terms_used=m,
-        tail_bound=_tail_bound(xf, af, m),
-    )
+                f"joint factor at x={xf}, a={af} needs over {cap} factors for eps={eps}",
+                partial=float(mpmath.exp(_log_partial(xf, af, cap))), tail_bound=tail, terms=cap)
+        # (c/s) log1p(s/(m-a)) < eps, with s = 2a+x-1 of c's sign, solves to
+        # m > a + s/expm1(eps s/c); the bound itself checks the guess
+        s = 2.0 * af + xf - 1.0
+        try:
+            guess = math.floor(af + s / math.expm1(eps * s / c)) + 1
+        except (OverflowError, ValueError, ZeroDivisionError):
+            guess = cap
+        m = _least(lambda k: _tail_bound(xf, af, k) < eps, 0, cap, (guess, guess))
+    return ProductResult(value=float(mpmath.exp(_log_partial(xf, af, m))), terms_used=m,
+                         tail_bound=_tail_bound(xf, af, m))
 
 
 def joint_factor(x, a, ctrl: TruncationControl | None = None) -> float:

@@ -36,6 +36,7 @@ import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError, NonConvergenceError
+from .gautschi import _double
 from .truncation import TruncationControl
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -222,7 +223,7 @@ def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
     Convergence is O(1/K), so small tolerances at large x are expensive by
     nature; exceeding max_terms raises with the partial attached.
     """
-    xf = float(x)
+    xf = _double(x, "series argument")
     if not -1.0 < xf < math.inf:
         raise DomainError(f"series argument must be finite and exceed -1, got {x!r}")
     if ctrl is None:

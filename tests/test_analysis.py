@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from ballratio import analysis as A
 from ballratio import ballvol as bv
 from ballratio import bounds as B
+from ballratio import gautschi as ga
 from ballratio.cli import main
 from ballratio.errors import BallRatioError, DomainError
 
@@ -169,6 +170,42 @@ def test_overtake_regression_values():
         assert A.product_overtake_index(n, 10**7) == want
     assert A.product_overtake_index(1, 0) is None
     assert A.product_overtake_index(1, 10) is None  # first hit is r = 11
+
+
+def test_overtake_indices_are_pinned_through_one_hundred():
+    # SHA-256 of the indices at n = 1..100, comma-joined, taken from the
+    # plain bisection over [0, 10^7] that the bracketed search replaced
+    got = [A.product_overtake_index(n, 10**7) for n in range(1, 101)]
+    assert (hashlib.sha256(",".join(map(str, got)).encode()).hexdigest()
+            == "ad30e6c06e66e2ea63c421bff12c16648a4421c1a3334c53d2553c647141c58b")
+    for n in (1, 2, 7, 50, 97, 100):
+        r = got[n - 1]
+        assert A.product_overtake_index(n, r - 1) is None
+        assert A.product_overtake_index(n, r) == r
+
+
+def test_overtake_takes_a_few_partials(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ga._log_partial(*args)
+    monkeypatch.setattr(A, "_log_partial", counted)
+    for n in range(1, 101):
+        calls.clear()
+        assert A.product_overtake_index(n, 10**7) is not None
+        assert len(calls) <= 4, n
+
+
+@pytest.mark.parametrize("call", [
+    lambda: A.product_overtake_index(10**400, 10),
+    lambda: A.product_overtake_index(3, 10**400),
+    lambda: A.partials_below_upper_cap(10**400, 10),
+    lambda: A.partials_below_upper_cap(3, 10**400),
+])
+def test_overtake_and_cap_refuse_arguments_beyond_a_double(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_overtake_monotone_in_dimension():

@@ -160,10 +160,10 @@ def test_w_product_budget():
 
 
 @pytest.mark.parametrize("eps", [1e-310, 5e-324])
-@pytest.mark.parametrize("fn, over", [(bv.v_product, math.pi), (bv.w_product, 1.0)])
+@pytest.mark.parametrize("fn, over", [(bv.v_product, 1.0), (bv.w_product, 1.0)])
 def test_products_tiny_tolerance_exhausts_the_budget(fn, over, eps):
     # the needed term count overflows a float; the budget is exceeded all the
-    # same (v_n's partial is the joint factor's, before the division by pi)
+    # same, and each product reports its own partial (v_n's is f_m over pi)
     with pytest.raises(NonConvergenceError) as exc:
         fn(3, TruncationControl.tolerance(eps, max_terms=1000))
     assert exc.value.terms == 1000
@@ -174,6 +174,16 @@ def test_products_at_huge_dimensions():
     # x = (n + 1)/2 near 5e306: only the first factors' k/(k - 1/2) remain
     assert abs(bv.v_product(10**307, TruncationControl.fixed(3)) - 3.2 / math.pi) < 1e-15
     assert bv.w_product(10**307, TruncationControl.fixed(3)) == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bv.v_product(10**400),
+    lambda: bv.w_product(10**400),
+    lambda: bv.w_product(3, TruncationControl.fixed(10**400)),
+])
+def test_products_refuse_arguments_beyond_a_double(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_product_domains():

@@ -76,6 +76,55 @@ def test_tolerance_stops_at_minimal_m():
     assert ga._tail_bound(x, a, m - 1) >= eps
 
 
+# x on both sides of 1 - a, so that s = 2a + x - 1, the sign of the tail
+# bound's log1p argument, takes both signs among the cases with c > 0
+_PICK_GRID = [(x, a, eps)
+              for a in (-0.9, -0.5, -0.25, 0.05, 0.25, 0.5, 0.95)
+              for x in (0.6, 0.75, 1.2, 1.4, 3.0, 40.0, 1e4)
+              for eps in (1e-9, 1e-6, 1e-3, 1e-1)
+              if x + a > 0 and a * (x + a - 1) > 0]
+
+
+def test_tolerance_pick_is_minimal_on_a_grid():
+    assert any(2 * a + x - 1 < 0 for x, a, _ in _PICK_GRID)
+    for x, a, eps in _PICK_GRID:
+        ctrl = TruncationControl.tolerance(eps, max_terms=10**15)
+        m = ga.joint_factor_result(x, a, ctrl).terms_used
+        assert ga._tail_bound(x, a, m) < eps, (x, a, eps)
+        assert m == 1 or ga._tail_bound(x, a, m - 1) >= eps, (x, a, eps)
+
+
+def test_tolerance_pick_takes_a_few_tail_bounds(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_bound(*args)
+    tail_bound = ga._tail_bound
+    monkeypatch.setattr(ga, "_tail_bound", counted)
+    for x, a, eps in _PICK_GRID:
+        calls.clear()
+        ga.joint_factor_result(x, a, TruncationControl.tolerance(eps, max_terms=10**15))
+        assert calls[0][2] == 10**15  # the budget test comes first
+        assert len(calls) - 1 <= 4, (x, a, eps)
+
+
+@given(st.integers(-5, 40), st.integers(0, 40), st.integers(-60, 80),
+       st.integers(-60, 80), st.integers(-60, 80))
+def test_least_matches_a_linear_scan(lo, width, first, g, h):
+    # pred is false below first and true from it; the guesses (g, h) may be
+    # right, wrong either way, or outside (lo, hi]
+    hi = lo + width
+    seen = []
+
+    def pred(r):
+        seen.append(r)
+        return r >= first
+    want = next((r for r in range(lo + 1, hi + 1) if r >= first), None)
+    assert ga._least(pred, lo, hi, (g, h)) == want
+    assert all(lo < r <= hi for r in seen)
+
+
 def test_tolerance_tail_bound_holds_at_high_precision():
     # in double, log((m+b)/(m-a)) loses ~1e-11 to cancellation at this m,
     # enough to stop one term before the certificate holds
@@ -151,6 +200,17 @@ def test_tiny_tolerance_exhausts_the_budget(fn, eps):
     assert err.terms == 1000
     assert err.partial == float(mpmath.exp(ga._log_partial(2.0, 0.5, 1000)))
     assert err.tail_bound == ga._tail_bound(2.0, 0.5, 1000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ga.joint_factor_result(10**400, 0.5),
+    lambda: ga.gautschi_ratio(10**400, 0.5),
+    lambda: ga.joint_factor_truncate(10**400, 0.5, 3),
+    lambda: ga.joint_factor(2.0, 0.5, TruncationControl.fixed(10**400)),
+])
+def test_arguments_beyond_a_double_are_refused(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_dps_stays_finite_for_huge_arguments():

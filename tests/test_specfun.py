@@ -141,6 +141,11 @@ def test_series_tiny_tolerance_exhausts_the_budget(eps):
     assert err.partial == sf.digamma_series(1.5, TruncationControl.fixed(1000))
 
 
+def test_series_refuses_an_argument_beyond_a_double():
+    with pytest.raises(DomainError):
+        sf.digamma_series(10**400)
+
+
 def test_series_domain():
     with pytest.raises(DomainError):
         sf.digamma_series(-1.0)
