@@ -4,13 +4,15 @@ Exact values are always the oracle side: bounds are compared against
 the correctly rounded doubles of v_exact/w_exact. A verification sweep
 reads them from one pass of ballvol.ratio_walk, which also decides
 Klein-Rota's w_n < 1 + 1/n at every n in integers; klein_rota_check reads
-the same walk. The sweep then walks n outermost: at each n, every bound
-comes from one row of bounds._rows, which computes each truncate and psi
-term once for all of them, and one generator decides sidedness for the
-whole row, with the tie scale taken once per n and target. `verify_bounds`
-keeps one record per (bound, n), bound by bound, while `verify_tally`
-streams per-bound counts and margins without building any record.
-`make_table` and `crossover` take their values from the same rows.
+the same walk. The sweep then walks n in blocks of bounds._BLOCK: in each
+block, every bound comes as one column of bounds._columns, which computes
+each truncate and psi term once per n for all of them, and one generator
+decides sidedness column by column, with the tie scale taken once per n
+and target; the elementwise work runs in map and sum, not in a Python loop
+per (bound, n). `verify_bounds` keeps one record per (bound, n), bound by
+bound, while `verify_tally` streams per-bound counts and margins without
+building any record. `make_table` and `crossover` read the same columns
+per n through bounds._rows.
 Sharpness comparisons between two bounds are strict; when two doubles
 land within 1e-12 (relative) of each other the comparison is re-done at
 30 significant digits so that integer thresholds cannot flip through
@@ -20,12 +22,14 @@ rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import mpmath
 
 from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
-from .bounds import BoundId, _rows, eval_bound_mp
+from .bounds import BoundId, _blocks, _columns, _rows, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _double, _dps, _least, _log_partial
 
@@ -85,31 +89,37 @@ class VerifyTally:
 
 
 def _evaluate(ids: list[BoundId], n_max: int):
-    """For each n from 1 to n_max, from one step of ratio_walk and one row of
-    _rows: n, Klein-Rota's w_n < 1 + 1/n, and one (index into ids, bound value,
-    exact value, gap, gap / max(1, |exact|) as margin, side_ok) per bound of ids
-    valid at n, target by target. Sidedness is decided here and nowhere else."""
-    by_target = [[(i, bid.side == "lower") for i, bid in enumerate(ids) if bid.target == target]
-                 for target in ("v", "w")]
-    for (n, v_n, w_n, klein), values in zip(ratio_walk(n_max), _rows(ids, range(1, n_max + 1))):
-        row = []
-        for ev, members in zip((v_n, w_n), by_target):
-            scale = max(1.0, abs(ev))
-            for i, lower in members:
-                bv = values[i]
-                if bv is not None:
-                    gap = ev - bv if lower else bv - ev
-                    row.append((i, bv, ev, gap, gap / scale, gap > -TIE_REL * scale))
-        yield n, klein, row
+    """For each block of n from 1 to n_max, from ratio_walk and _columns:
+    whether Klein-Rota's w_n < 1 + 1/n holds at every n of the block, and, for
+    each bound of ids, (index into ids, first n valid in the block, bound
+    values, exact values, gaps, margins, side_ok), column by column, margin
+    being gap / max(1, |exact|). margins and side_ok are iterators, to be
+    read once. Sidedness is decided here and nowhere else."""
+    lower = [bid.side == "lower" for bid in ids]
+    targets = [bid.target for bid in ids]
+    for block in _blocks(ratio_walk(n_max)):
+        ns, v, w, klein = zip(*block)
+        exact = {"v": v, "w": w}
+        scales = {t: list(map(max, repeat(1.0), map(abs, ev))) for t, ev in exact.items()}
+
+        def decided(i, bv):
+            skip = len(ns) - len(bv)  # the n below the bound's min_n lead the block
+            ev, scale = exact[targets[i]][skip:], scales[targets[i]][skip:]
+            gaps = list(map(operator.sub, ev, bv) if lower[i] else map(operator.sub, bv, ev))
+            ties = map(operator.mul, repeat(-TIE_REL), scale)
+            return (i, ns[0] + skip, bv, ev, gaps, map(operator.truediv, gaps, scale),
+                    map(operator.gt, gaps, ties))
+        yield all(klein), (decided(i, bv) for i, bv in _columns(ids, ns))
 
 
 def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
     """One record per (bound, n) with n from the bound's min_n up to n_max,
     bound by bound in ids order."""
     records: list[list[EvaluationRecord]] = [[] for _ in ids]
-    for n, _, row in _evaluate(ids, n_max):
-        for i, bv, ev, gap, _, ok in row:
-            records[i].append(EvaluationRecord(n, ids[i], bv, ev, gap, ok))
+    for _, bounds in _evaluate(ids, n_max):
+        for i, first, bv, ev, gaps, _, ok in bounds:
+            records[i] += map(EvaluationRecord, range(first, first + len(bv)),
+                              repeat(ids[i]), bv, ev, gaps, ok)
     return [r for per_bound in records for r in per_bound]
 
 
@@ -121,13 +131,17 @@ def verify_tally(ids: list[BoundId], n_max: int) -> VerifyTally:
     min_margin: list[float | None] = [None] * len(ids)
     argmin_n: list[int | None] = [None] * len(ids)
     klein_ok = True
-    for n, klein, row in _evaluate(ids, n_max):
+    for klein, bounds in _evaluate(ids, n_max):
         klein_ok = klein_ok and klein
-        for i, _, _, _, margin, ok in row:
-            checked[i] += 1
-            ok_count[i] += ok
-            if argmin_n[i] is None or margin < min_margin[i]:
-                min_margin[i], argmin_n[i] = margin, n
+        for i, first, bv, _, _, margins, ok in bounds:
+            if not bv:
+                continue
+            margins = list(margins)
+            low = min(margins)  # the first smallest, as a strict < keeps it
+            checked[i] += len(bv)
+            ok_count[i] += sum(ok)
+            if argmin_n[i] is None or low < min_margin[i]:
+                min_margin[i], argmin_n[i] = low, first + margins.index(low)
     tallies = {bid: BoundTally(c, k, low, at)
                for bid, c, k, low, at in zip(ids, checked, ok_count, min_margin, argmin_n)}
     return VerifyTally(tallies, klein_ok)
@@ -233,15 +247,15 @@ def make_table(
     headers += [bid.label() for bid in ids]
     headers += [f"gap:{bid.label()}" for bid in ids]
     lower = [bid.side == "lower" for bid in ids]
-    values_at = _rows(ids, n_list)
-    rows: list[list] = []
+    exact = []
     for n in n_list:
-        ev = exact_target(target, n)  # DomainError for n < 1 regardless of flag
+        exact.append(exact_target(target, n))  # DomainError for n < 1 regardless of flag
         if not partial:
             for bid in ids:
                 if n < bid.min_n:
                     raise DomainError(f"bound {bid.label()} needs n >= {bid.min_n}, got {n}")
-        values = next(values_at)
+    rows: list[list] = []
+    for n, ev, values in zip(n_list, exact, _rows(ids, n_list)):
         gaps = [None if bv is None else (ev - bv if low else bv - ev)
                 for bv, low in zip(values, lower)]
         rows.append([n, ev, *values, *gaps])

@@ -12,17 +12,23 @@ Rational prefactors are integer pairs (numerator, denominator), built in
 one small-int loop; digamma and trigamma are taken at half-integers x,
 each given as the int t = 2x. Three backends run the formulas:
 
-- FLOAT (eval_bound): doubles. Each pair is rounded by a single correctly
-  rounded division, and psi/psi' come from specfun's t-keyed closed forms,
-  128-bit fixed-point integers rounded once, arranged so that gamma and
-  log-4 contributions cancel exactly where they should.
-- _sharing (_rows): FLOAT for many bounds at one n at a time. The
-  m-truncates f, sigma, s and w extend one another, one factor or one
-  summand per order, so each keeps its last pair and, at the same n, goes
-  on from it to a higher order instead of starting again; each psi
-  function keeps its last value. _rows asks in ascending m, so at each n
-  every factor, summand and psi value is computed once, and only if some
-  bound reads it.
+- FLOAT (eval_bound): doubles at one n. Each pair is rounded by a single
+  correctly rounded division, and psi/psi' come from specfun's t-keyed
+  closed forms, 128-bit fixed-point integers rounded once, arranged so that
+  gamma and log-4 contributions cancel exactly where they should.
+- the shared column backend (_columns, and _rows and verify on top of it):
+  FLOAT on a block of n at once, N a column of doubles and n one of ints.
+  A column applies + - * / ** elementwise through the operator builtins
+  and every function of FLOAT through map, so each element goes through
+  the very operation FLOAT does at its n, in the same order, and every
+  double is kept bit for bit; the loops run in C, so a block costs one
+  formula call per bound, not one per (bound, n). The m-truncates f,
+  sigma, s and w extend one another, one factor or one summand per order,
+  so each keeps its last pair of columns and, on the same block, goes on
+  from it to a higher order instead of starting again; each psi function
+  keeps its last column. _columns asks in ascending m, so in each block
+  every factor, summand and psi value is computed once per n, and only if
+  some bound reads it.
 - MP (eval_bound_mp): mpmath at 30 digits, for near-tie adjudication.
 """
 
@@ -33,6 +39,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -90,14 +97,21 @@ def _w_trunc(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, i
     return p, q
 
 
-# psi(x) + gamma, psi(u) - psi(v) and psi'(x), each half-integer given as
-# the int t = 2x; and the truncates, each as B.f(n, m) -> the pair of order m
+def _psi_slope(n: int) -> float:
+    """(psi((n+1)/2) + gamma)/(n-1), whose removable singularity at n = 1 is
+    patched with the exact limit psi'(1)/2 = pi^2/12."""
+    return math.pi * math.pi / 12 if n == 1 else _psi_gamma(n + 1) / (n - 1)
+
+
+# psi_slope at the int n; psi(u) - psi(v) and psi'(x), each half-integer
+# given as the int t = 2x; and the truncates, each as B.f(n, m) -> the pair
+# of order m
 FLOAT = SimpleNamespace(
     pi=math.pi,
     sqrt=math.sqrt,
     exp=math.exp,
     ratio=operator.truediv,  # int true division rounds once, correctly
-    psi_gamma=_psi_gamma,
+    psi_slope=_psi_slope,
     psi_diff=_psi_diff,
     trigamma=_trigamma,
     f=_f_m,
@@ -111,7 +125,8 @@ MP = SimpleNamespace(
     sqrt=mpmath.sqrt,
     exp=mpmath.exp,
     ratio=lambda p, q: mpmath.mpf(p) / q,
-    psi_gamma=lambda t: mpmath.digamma(mpmath.mpf(t) / 2) + mpmath.euler,
+    psi_slope=lambda n: mpmath.pi * mpmath.pi / 12 if n == 1 else (
+        (mpmath.digamma(mpmath.mpf(n + 1) / 2) + mpmath.euler) / (n - 1)),
     psi_diff=lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
                              - mpmath.digamma(mpmath.mpf(tv) / 2)),
     trigamma=lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
@@ -122,13 +137,48 @@ MP = SimpleNamespace(
 )
 
 
+def _each(fn: Callable) -> Callable:
+    """fn applied elementwise to columns, a number standing for every element."""
+    return lambda *args: _Column(map(fn, *(a if isinstance(a, list) else repeat(a)
+                                          for a in args)))
+
+
+def _elementwise(op: Callable) -> tuple[Callable, Callable]:
+    """The method pair (a op b, b op a) of op on a column a."""
+    each = _each(op)
+    return each, lambda a, b: each(b, a)
+
+
+class _Column(list):
+    """A column of numbers, one per n of a block. + - * / ** apply their
+    operator builtin elementwise, to another column of the same length or to
+    a number, with the operands in the order written; the in-place forms
+    build a new column, as they do for numbers."""
+
+    __add__, __radd__ = _elementwise(operator.add)
+    __sub__, __rsub__ = _elementwise(operator.sub)
+    __mul__, __rmul__ = _elementwise(operator.mul)
+    __truediv__, __rtruediv__ = _elementwise(operator.truediv)
+    __pow__, __rpow__ = _elementwise(operator.pow)
+    __iadd__, __imul__ = __add__, __mul__  # list's would extend or repeat in place
+
+
+# FLOAT on columns: the same truncate loops, each function mapped
+_COLUMNS = SimpleNamespace(**{
+    **vars(FLOAT),
+    **{name: _each(getattr(FLOAT, name))
+       for name in ("sqrt", "exp", "ratio", "psi_slope", "psi_diff", "trigamma")},
+})
+
+
 def _sharing() -> SimpleNamespace:
-    """FLOAT for a row of bounds at one n at a time. Each truncate keeps the
-    last pair it gave, with its n and order, and goes on from it when asked
-    for a higher order at the same n; each psi function keeps its last
-    value. Nothing is kept beyond that one entry each."""
+    """The column backend for the bounds of one block. Each truncate keeps
+    the last pair of columns it gave, with its n column and order, and goes
+    on from it when asked for a higher order on the same n; each psi
+    function keeps its last column. Nothing is kept beyond that one entry
+    each."""
     def truncate(loop):
-        at, k, p, q = 0, 0, 1, 1  # the last n, order and pair; no n is 0
+        at, k, p, q = None, 0, 1, 1  # the last n, order and pair
 
         def get(n, m):
             nonlocal at, k, p, q
@@ -150,9 +200,9 @@ def _sharing() -> SimpleNamespace:
         return get
 
     return SimpleNamespace(**{
-        **vars(FLOAT),
-        **{name: truncate(getattr(FLOAT, name)) for name in ("f", "sigma", "s", "w")},
-        **{name: psi(getattr(FLOAT, name)) for name in ("psi_gamma", "psi_diff")},
+        **vars(_COLUMNS),
+        **{name: truncate(getattr(_COLUMNS, name)) for name in ("f", "sigma", "s", "w")},
+        **{name: psi(getattr(_COLUMNS, name)) for name in ("psi_slope", "psi_diff")},
     })
 
 
@@ -169,12 +219,9 @@ class _Family(NamedTuple):
 _FAMILIES: tuple[_Family, ...] = (
     _Family("v", "lower-trunc", "lower", True, 1, "truncated product",
             lambda B, N, n, m: B.ratio(*B.f(n, m)) / B.pi),
-    # (psi((n+1)/2) + gamma)/(n-1) has a removable singularity at n = 1,
-    # patched with the exact limit psi'(1)/2 = pi^2/12
     _Family("v", "lower-d", "lower", True, 1, "digamma-exponential refinement",
             lambda B, N, n, m: B.ratio(*B.f(n, m)) / B.pi * B.exp(N / 2 * (
-                (B.pi * B.pi / 12 if n == 1 else B.psi_gamma(n + 1) / (N - 1))
-                - B.ratio(*B.sigma(n, m))))),
+                B.psi_slope(n) - B.ratio(*B.sigma(n, m))))),
     _Family("v", "lower-borgwardt", "lower", False, 1, "Borgwardt (1987)",
             lambda B, N, n, m: B.sqrt(N / (2 * B.pi))),
     _Family("v", "lower-alzer", "lower", False, 1, "Alzer",
@@ -387,20 +434,50 @@ def eval_bound_mp(bid: BoundId, n: int):
         return fam.formula(MP, mpmath.mpf(n), n, bid.m)
 
 
-def _rows(ids: Sequence[BoundId], ns: Iterable[int]) -> Iterator[list[float | None]]:
-    """For each n of ns, the eval_bound double of every bound of ids at n,
-    None for a bound below its min_n. The bounds of a row run on _sharing
-    in ascending m, so each truncate is only ever extended. An n above
-    MAX_DIMENSION raises DomainError when its row is reached."""
+# n per block of _columns and of a verify sweep: enough that the elementwise
+# loops, not the formula calls, take most of a block's time, and few enough
+# that a sweep's peak memory stays near that of one n at a time
+_BLOCK = 256
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    """items in consecutive lists of _BLOCK, the last one shorter."""
+    it = iter(items)
+    while block := list(islice(it, _BLOCK)):
+        yield block
+
+
+def _columns(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[tuple[int, list[float]]]:
+    """For each bound of ids, as (index into ids, column): its eval_bound
+    doubles at the n of ns from its min_n on, in the order of ns. The bounds
+    run on one _sharing backend in ascending m, so each truncate is only ever
+    extended. An n outside [1, MAX_DIMENSION] raises DomainError before any
+    bound is evaluated."""
+    if ns and not 1 <= min(ns) <= max(ns) <= MAX_DIMENSION:
+        raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {min(ns)}..{max(ns)}")
     plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula, bid.min_n)
                   for i, bid in enumerate(ids))
     B = _sharing()
-    for n in ns:
-        if n > MAX_DIMENSION:
-            raise DomainError(f"bounds need n <= {MAX_DIMENSION}, got {n}")
-        N = float(n)
-        row: list[float | None] = [None] * len(plan)
-        for m, i, formula, min_n in plan:
-            if min_n <= n:
-                row[i] = formula(B, N, n, m)
-        yield row
+    least = min(ns, default=0)
+    every_n = _Column(ns)
+    every_N = _Column(map(float, ns))
+    for m, i, formula, min_n in plan:
+        if min_n <= least:
+            yield i, formula(B, every_N, every_n, m)
+        else:
+            n = _Column(k for k in ns if k >= min_n)
+            yield i, formula(B, _Column(map(float, n)), n, m)
+
+
+def _rows(ids: Sequence[BoundId], ns: Iterable[int]) -> Iterator[list[float | None]]:
+    """_columns read per n: for each n of ns, the eval_bound double of every
+    bound of ids at n, None for a bound below its min_n."""
+    min_ns = [bid.min_n for bid in ids]
+    for block in _blocks(ns):
+        columns: list = [None] * len(ids)
+        for i, column in _columns(ids, block):
+            if len(column) < len(block):
+                values = iter(column)
+                column = [next(values) if k >= min_ns[i] else None for k in block]
+            columns[i] = column
+        yield from map(list, zip(*columns))

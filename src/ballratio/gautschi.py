@@ -16,6 +16,7 @@ least m that meets eps; the bound itself checks the guess.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -24,6 +25,7 @@ from .errors import DomainError, NonConvergenceError
 from .truncation import TruncationControl
 
 SQRT_PI = math.sqrt(math.pi)
+_LARGEST_INT = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -126,16 +128,19 @@ def _tail_bound(xf: float, af: float, m: int) -> float:
     Integral comparison: the summand is |c|/((k-a)(k+b)), decreasing in k,
     so the tail is below the integral from m, which evaluates to
     (|c|/(a+b)) log1p((a+b)/(m-a)), free of cancellation at large m; the
-    degenerate a+b = 0 case collapses to |c|/(m-a).
+    degenerate a+b = 0 case collapses to |c|/(m-a). The bound decreases in
+    m, so an m beyond the largest double, where m - a has no double, takes
+    the bound at that largest double, which still holds.
     """
     c = af * (xf + af - 1.0)
     if c == 0.0:
         return 0.0
     b = xf + af - 1.0
     denom = af + b
+    room = min(m, _LARGEST_INT) - af
     if denom == 0.0:
-        return abs(c) / (m - af)
-    return abs(c / denom * math.log1p(denom / (m - af)))
+        return abs(c) / room
+    return abs(c / denom * math.log1p(denom / room))
 
 
 def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductResult:

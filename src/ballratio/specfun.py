@@ -47,7 +47,10 @@ BETA = PI / 2.0 - 1.0
 
 _ONE = 1 << 128  # the fixed-point scale of psi and psi' values
 _ASYMPTOTIC_X = 32
-_BERNOULLI = tuple(mpmath.bernfrac(2 * k) for k in range(1, 14))  # B_2..B_26 as (p, q)
+# B_2..B_26 as (p * 2^(2k+1) in units of 2^-128, q): the numerators of the
+# series terms B_2k / x^(2k+1) = 2^(2k+1) B_2k / t^(2k+1), scaled once here
+_BERNOULLI = tuple((_ONE * p << (2 * k + 1), q)
+                   for k in range(1, 14) for p, q in [mpmath.bernfrac(2 * k)])
 
 
 def _twice(x) -> int:
@@ -192,11 +195,12 @@ def _trigamma(t: int) -> float:
     while t < 2 * _ASYMPTOTIC_X:
         s += (_ONE << 2) // (t * t)  # 1/x^2 = 4/t^2
         t += 2
-    s += (_ONE << 1) // t + (_ONE << 1) // (t * t)  # 1/x + 1/(2x^2)
+    tt = t * t
+    s += (_ONE << 1) // t + (_ONE << 1) // tt  # 1/x + 1/(2x^2)
     power = t
-    for k, (p, q) in enumerate(_BERNOULLI, 1):
-        power *= t * t  # t^(2k+1)
-        s += (_ONE * p << (2 * k + 1)) // (q * power)
+    for p, q in _BERNOULLI:
+        power *= tt  # t^(2k+1)
+        s += p // (q * power)
     return s / _ONE
 
 

@@ -375,48 +375,102 @@ def test_tally_matches_a_per_bound_loop_over_eval_bound():
         assert dataclasses.astuple(tally.bounds[bid]) == (checked, ok, low, at), bid.label()
 
 
+def _per_record_tally(ids, n_max):
+    # the loop of test_tally_matches_a_per_bound_loop_over_eval_bound: one
+    # eval_bound per (bound, n), each record decided on its own
+    exact = {t: [None] + [A.exact_target(t, n) for n in range(1, n_max + 1)] for t in ("v", "w")}
+    tally = {}
+    for bid in ids:
+        checked = ok = 0
+        low = at = None
+        for n in range(bid.min_n, n_max + 1):
+            bv, ev = B.eval_bound(bid, n), exact[bid.target][n]
+            gap = ev - bv if bid.side == "lower" else bv - ev
+            scale = max(1.0, abs(ev))
+            checked += 1
+            ok += gap > -A.TIE_REL * scale
+            if at is None or gap / scale < low:
+                low, at = gap / scale, n
+        tally[bid] = (checked, ok, low, at)
+    return tally
+
+
+@pytest.mark.parametrize("n_max", [1, 2, B._BLOCK - 1, B._BLOCK, B._BLOCK + 1])
+def test_tally_matches_the_per_record_loop_at_block_edges(n_max):
+    ids = [s.id for s in B.catalog()]
+    tally = A.verify_tally(ids, n_max)
+    assert {bid: dataclasses.astuple(t) for bid, t in tally.bounds.items()} == \
+        _per_record_tally(ids, n_max)
+    # upper-merkle-q starts at n = 2: at n_max = 1 it is checked nowhere
+    assert tally.bounds[B.W_UPPER_MERKLE_Q].checked == max(n_max - 1, 0)
+    if n_max == B._BLOCK + 1:
+        # smallest margins at the second block's only n, and at n = 1, which
+        # the second block must not take over
+        argmins = {t.argmin_n for t in tally.bounds.values()}
+        assert {1, B._BLOCK + 1} <= argmins
+
+
+def test_tally_matches_the_per_record_loop_over_many_blocks(monkeypatch):
+    monkeypatch.setattr(B, "_BLOCK", 4)
+    ids = [s.id for s in B.catalog((1, 3))]
+    for n_max in (5, 21, 22):  # a last block of one n, and of two
+        tally = A.verify_tally(ids, n_max)
+        assert {bid: dataclasses.astuple(t) for bid, t in tally.bounds.items()} == \
+            _per_record_tally(ids, n_max)
+
+
 def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
     from ballratio import specfun
 
-    calls = {"psi_rational": 0, "psi_gamma": [], "psi_diff": []}
-    psi_rational, psi_gamma, psi_diff = specfun._psi_rational, B.FLOAT.psi_gamma, B.FLOAT.psi_diff
+    monkeypatch.setattr(B, "_BLOCK", 16)
+    calls = {"psi_rational": 0, "psi_slope": [], "psi_diff": []}
+    psi_rational, psi_slope, psi_diff = (specfun._psi_rational, B._COLUMNS.psi_slope,
+                                         B._COLUMNS.psi_diff)
 
     def count_rational(t):
         calls["psi_rational"] += 1
         return psi_rational(t)
 
     monkeypatch.setattr(specfun, "_psi_rational", count_rational)
-    monkeypatch.setattr(B.FLOAT, "psi_gamma",
-                        lambda t: calls["psi_gamma"].append(t) or psi_gamma(t))
-    monkeypatch.setattr(B.FLOAT, "psi_diff",
-                        lambda tu, tv: calls["psi_diff"].append((tu, tv)) or psi_diff(tu, tv))
-    # each truncate loop records the orders whose factor or summand it adds
+    # the psi columns record each n they are asked for
+    monkeypatch.setattr(B._COLUMNS, "psi_slope",
+                        lambda n: calls["psi_slope"].extend(n) or psi_slope(n))
+    monkeypatch.setattr(B._COLUMNS, "psi_diff",
+                        lambda tu, tv: calls["psi_diff"].extend((t, tv) for t in tu)
+                        or psi_diff(tu, tv))
+    # each truncate loop records, per block of n, the orders whose factor or
+    # summand it adds
     orders: dict = {}
     for name, first in (("f", 1), ("sigma", 1), ("s", 0), ("w", 1)):
-        def counted(n, m, *last, name=name, first=first, loop=getattr(B.FLOAT, name)):
+        def counted(n, m, *last, name=name, first=first, loop=getattr(B._COLUMNS, name)):
             start = last[0] + 1 if last else first
-            orders.setdefault(name, {}).setdefault(n, []).extend(range(start, m + 1))
+            orders.setdefault(name, {}).setdefault(tuple(n), []).extend(range(start, m + 1))
             return loop(n, m, *last)
-        monkeypatch.setattr(B.FLOAT, name, counted)
+        monkeypatch.setattr(B._COLUMNS, name, counted)
+
+    def blocks(n_max):
+        return [tuple(range(lo, min(lo + 16, n_max + 1))) for lo in range(1, n_max + 1, 16)]
 
     A.verify_tally([s.id for s in B.catalog()], 50)
-    ns = range(1, 51)
-    assert orders == {"f": {n: [1, 2, 3] for n in ns}, "sigma": {n: [1, 2, 3] for n in ns},
-                      "s": {n: [0, 1, 2, 3] for n in ns}, "w": {n: [1, 2, 3] for n in ns}}
-    # lower-d's psi((n+1)/2) + gamma (pi^2/12 at n = 1) and upper-h's
+    assert orders == {"f": {b: [1, 2, 3] for b in blocks(50)},
+                      "sigma": {b: [1, 2, 3] for b in blocks(50)},
+                      "s": {b: [0, 1, 2, 3] for b in blocks(50)},
+                      "w": {b: [1, 2, 3] for b in blocks(50)}}
+    # lower-d's (psi((n+1)/2) + gamma)/(n-1) (pi^2/12 at n = 1) and upper-h's
     # psi(n/2) - psi(3/2), each once per n: three table reads per n
-    assert calls["psi_gamma"] == [n + 1 for n in range(2, 51)]
+    assert calls["psi_slope"] == list(range(1, 51))
     assert calls["psi_diff"] == [(n, 3) for n in range(1, 51)]
     assert calls["psi_rational"] == 3 * 50 - 1
 
-    # a crossover's pair is one row per n: the two orders share one product
+    # a crossover's pair is one column per block: the two orders share one product
     orders.clear()
     A.crossover(B.W_UPPER_REFINED(3), B.W_UPPER_REFINED(2), 40)
-    assert orders == {"w": {n: [1, 2, 3] for n in range(1, 41)}}
-    # a short truncate is not built to the row's longest order
+    assert orders == {"w": {b: [1, 2, 3] for b in blocks(40)}}
+    # a short truncate is not built to the block's longest order
     orders.clear()
     next(B._rows([B.V_LOWER_TRUNC(1000), B.V_LOWER_D(1), B.V_UPPER_H(1)], [7]))
-    assert orders == {"f": {7: list(range(1, 1001))}, "sigma": {7: [1]}, "s": {7: [0, 1]}}
+    assert orders == {"f": {(7,): list(range(1, 1001))}, "sigma": {(7,): [1]},
+                      "s": {(7,): [0, 1]}}
 
 
 # SHA-256 of one line "n target label bound exact gap side_ok" per record

@@ -170,6 +170,11 @@ def test_products_tiny_tolerance_exhausts_the_budget(fn, over, eps):
     assert exc.value.partial / over == fn(3, TruncationControl.fixed(1000))
 
 
+def test_v_product_takes_a_budget_beyond_a_double():
+    huge = TruncationControl.tolerance(1e-6, max_terms=10**400)
+    assert bv.v_product(5, huge) == bv.v_product(5, TruncationControl.tolerance(1e-6, 10**308))
+
+
 def test_products_at_huge_dimensions():
     # x = (n + 1)/2 near 5e306: only the first factors' k/(k - 1/2) remain
     assert abs(bv.v_product(10**307, TruncationControl.fixed(3)) - 3.2 / math.pi) < 1e-15

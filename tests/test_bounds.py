@@ -341,6 +341,16 @@ def test_rows_are_the_eval_bound_doubles():
         next(B._rows(ids, [bv.MAX_DIMENSION + 1]))
 
 
+def test_columns_refuse_n_out_of_range_before_any_work(monkeypatch):
+    monkeypatch.setattr(B, "_sharing", None)  # no backend is built
+    ids = [s.id for s in B.catalog()]
+    for ns in ([bv.MAX_DIMENSION + 1], [5, bv.MAX_DIMENSION + 1, 7], [3, 0]):
+        with pytest.raises(DomainError):
+            next(B._columns(ids, ns))
+        with pytest.raises(DomainError):
+            next(B._rows(ids, ns))
+
+
 def test_truncates_go_on_from_a_lower_order():
     from ballratio.gautschi import joint_factor_truncate
 

@@ -109,6 +109,16 @@ def test_tolerance_pick_takes_a_few_tail_bounds(monkeypatch):
         assert len(calls) - 1 <= 4, (x, a, eps)
 
 
+def test_a_budget_beyond_a_double_acts_as_a_large_one():
+    # the budget test takes the tail bound at max_terms, which has no double
+    # past about 1.8e308; a larger budget still leaves the least m to the tail
+    large, huge = (TruncationControl.tolerance(1e-6, max_terms=cap) for cap in (10**308, 10**400))
+    want = ga.joint_factor_result(3.0, 0.5, large)
+    assert want.terms_used == 1250000
+    assert ga.joint_factor_result(3.0, 0.5, huge) == want
+    assert ga.gautschi_ratio(3.0, 0.5, huge) == ga.gautschi_ratio(3.0, 0.5, large)
+
+
 @given(st.integers(-5, 40), st.integers(0, 40), st.integers(-60, 80),
        st.integers(-60, 80), st.integers(-60, 80))
 def test_least_matches_a_linear_scan(lo, width, first, g, h):
