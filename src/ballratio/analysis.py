@@ -93,18 +93,23 @@ def _evaluate(ids: list[BoundId], n_max: int):
     whether Klein-Rota's w_n < 1 + 1/n holds at every n of the block, and, for
     each bound of ids, (index into ids, first n valid in the block, bound
     values, exact values, gaps, margins, side_ok), column by column, margin
-    being gap / max(1, |exact|). margins and side_ok are iterators, to be
-    read once. Sidedness is decided here and nowhere else."""
+    being gap / max(1, |exact|). The first valid n is the bound's min_n or
+    the block's first n, whichever is later; the columns of _columns cover
+    the whole block, so the n before it are sliced off. margins and side_ok
+    are iterators, to be read once. Sidedness is decided here alone."""
     lower = [bid.side == "lower" for bid in ids]
     targets = [bid.target for bid in ids]
+    min_ns = [bid.min_n for bid in ids]
     for block in _blocks(ratio_walk(n_max)):
         ns, v, w, klein = zip(*block)
         exact = {"v": v, "w": w}
         scales = {t: list(map(max, repeat(1.0), map(abs, ev))) for t, ev in exact.items()}
 
         def decided(i, bv):
-            skip = len(ns) - len(bv)  # the n below the bound's min_n lead the block
-            ev, scale = exact[targets[i]][skip:], scales[targets[i]][skip:]
+            ev, scale = exact[targets[i]], scales[targets[i]]
+            skip = max(min_ns[i] - ns[0], 0)  # the n below the bound's min_n lead the block
+            if skip:
+                bv, ev, scale = bv[skip:], ev[skip:], scale[skip:]
             gaps = list(map(operator.sub, ev, bv) if lower[i] else map(operator.sub, bv, ev))
             ties = map(operator.mul, repeat(-TIE_REL), scale)
             return (i, ns[0] + skip, bv, ev, gaps, map(operator.truediv, gaps, scale),
@@ -183,11 +188,20 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
     return CrossoverResult(a, b, a.target, frozenset(sharper), threshold)
 
 
-def _log_half_sqrt_pi(n: int, shift: int, m: int) -> mpmath.mpf:
-    """log(sqrt(pi(2n+shift))/2) at the working precision of log P(m), where
-    P(m), the product below, is the joint-factor partial f_m((n+1)/2, 1/2)."""
-    with mpmath.workdps(_dps((n + 1) / 2.0, m)):
+def _log_half_sqrt_pi(n: int, shift: int, dps: int) -> mpmath.mpf:
+    """log(sqrt(pi(2n+shift))/2) at dps digits."""
+    with mpmath.workdps(dps):
         return mpmath.log(mpmath.pi * (2 * n + shift)) / 2 - mpmath.log(2)
+
+
+def _overtake_dps(x: float, r: int) -> int:
+    """Working digits of log f_r((n+1)/2, 1/2) and its target in the overtake
+    search. _dps(x, r) leaves about 20 digits after the loggamma cancellation;
+    what one factor step of log f_r, about c/(r(r+x)) >= c/(r+x)^2 with
+    c = (x-1/2)/2, needs beyond those, with 5 guard digits, is added."""
+    dps = _dps(x, r)  # DomainError where r + x is beyond a double
+    step = 2 * math.log10(r + x) - math.log10(x / 2 - 0.25)  # -log10 c/(r+x)^2
+    return dps + max(0, math.ceil(step) + 5 - 20)
 
 
 def product_overtake_index(n: int, r_max: int) -> int | None:
@@ -201,7 +215,7 @@ def product_overtake_index(n: int, r_max: int) -> int | None:
     x = _double(n + 1, "n") / 2.0
     if r_max < 1:
         return None
-    target = _log_half_sqrt_pi(n, 1, r_max)
+    target = _log_half_sqrt_pi(n, 1, _overtake_dps(x, r_max))
     lg, c, d = mpmath.loggamma, n / 4.0, (n - 1) / 2.0
     with mpmath.workdps(_dps(x, r_max)):
         room = float(lg(x + 0.5) + lg(mpmath.mpf(0.5)) - lg(x) - target)  # D
@@ -210,7 +224,11 @@ def product_overtake_index(n: int, r_max: int) -> int | None:
                  math.floor(0.5 + (d + 1) / math.expm1(room * (d + 1) / c)) + 1)
     except (OverflowError, ValueError, ZeroDivisionError):
         guess = (1, r_max)  # no narrowing
-    return _least(lambda r: _log_partial(x, 0.5, r) > target, 0, r_max, guess)
+
+    def above(r):
+        with mpmath.workdps(_overtake_dps(x, r)):
+            return _log_partial(x, 0.5, r) > target
+    return _least(above, 0, r_max, guess)
 
 
 def partials_below_upper_cap(n: int, m_max: int) -> bool:
@@ -218,8 +236,8 @@ def partials_below_upper_cap(n: int, m_max: int) -> bool:
     sqrt(pi(2n+2))/2. Partials increase, so only the last one is checked."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    m = max(m_max, 0)
-    return _log_partial(_double(n + 1, "n") / 2.0, 0.5, m) < _log_half_sqrt_pi(n, 2, m)
+    m, x = max(m_max, 0), _double(n + 1, "n") / 2.0
+    return _log_partial(x, 0.5, m) < _log_half_sqrt_pi(n, 2, _dps(x, m))
 
 
 def klein_rota_check(n_max: int) -> bool:

@@ -22,14 +22,16 @@ each given as the int t = 2x. Three backends run the formulas:
   and every function of FLOAT through map, so each element goes through
   the very operation FLOAT does at its n, in the same order, and every
   double is kept bit for bit; the loops run in C, so a block costs one
-  formula call per bound, not one per (bound, n). The m-truncates f,
+  formula call per bound, not one per (bound, n). Every bound runs on the
+  whole block (its readers mask the n below its min_n). The m-truncates f,
   sigma, s and w extend one another, one factor or one summand per order,
-  so each keeps its last pair of columns and, on the same block, goes on
-  from it to a higher order instead of starting again; each psi function
-  keeps its last column. _columns asks in ascending m, so in each block
-  every factor, summand and psi value is computed once per n, and only if
-  some bound reads it.
-- MP (eval_bound_mp): mpmath at 30 digits, for near-tie adjudication.
+  so each keeps its last pair of columns and goes on from it to a higher
+  order instead of starting again; each psi function keeps its last
+  column. _columns asks in ascending m, so in each block every factor,
+  summand and psi value is computed once per n, and only if some bound
+  reads it.
+- MP (eval_bound_mp): FLOAT with mpmath's pi and functions, at 30 digits,
+  for near-tie adjudication.
 """
 
 from __future__ import annotations
@@ -97,10 +99,10 @@ def _w_trunc(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, i
     return p, q
 
 
-def _psi_slope(n: int) -> float:
-    """(psi((n+1)/2) + gamma)/(n-1), whose removable singularity at n = 1 is
-    patched with the exact limit psi'(1)/2 = pi^2/12."""
-    return math.pi * math.pi / 12 if n == 1 else _psi_gamma(n + 1) / (n - 1)
+def _psi_slope(pi, psi_gamma: Callable) -> Callable:
+    """(psi((n+1)/2) + gamma)/(n-1) from psi_gamma(t) = psi(t/2) + gamma, its
+    removable singularity at n = 1 patched with the limit psi'(1)/2 = pi^2/12."""
+    return lambda n: pi * pi / 12 if n == 1 else psi_gamma(n + 1) / (n - 1)
 
 
 # psi_slope at the int n; psi(u) - psi(v) and psi'(x), each half-integer
@@ -111,7 +113,7 @@ FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     exp=math.exp,
     ratio=operator.truediv,  # int true division rounds once, correctly
-    psi_slope=_psi_slope,
+    psi_slope=_psi_slope(math.pi, _psi_gamma),
     psi_diff=_psi_diff,
     trigamma=_trigamma,
     f=_f_m,
@@ -120,21 +122,18 @@ FLOAT = SimpleNamespace(
     w=_w_trunc,
 )
 
-MP = SimpleNamespace(
-    pi=mpmath.pi,
-    sqrt=mpmath.sqrt,
-    exp=mpmath.exp,
-    ratio=lambda p, q: mpmath.mpf(p) / q,
-    psi_slope=lambda n: mpmath.pi * mpmath.pi / 12 if n == 1 else (
-        (mpmath.digamma(mpmath.mpf(n + 1) / 2) + mpmath.euler) / (n - 1)),
-    psi_diff=lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
-                             - mpmath.digamma(mpmath.mpf(tv) / 2)),
-    trigamma=lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
-    f=_f_m,
-    sigma=_sigma,
-    s=_s,
-    w=_w_trunc,
-)
+MP = SimpleNamespace(**{
+    **vars(FLOAT),
+    "pi": mpmath.pi,
+    "sqrt": mpmath.sqrt,
+    "exp": mpmath.exp,
+    "ratio": lambda p, q: mpmath.mpf(p) / q,
+    "psi_slope": _psi_slope(mpmath.pi, lambda t: mpmath.digamma(mpmath.mpf(t) / 2)
+                            + mpmath.euler),
+    "psi_diff": lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
+                                - mpmath.digamma(mpmath.mpf(tv) / 2)),
+    "trigamma": lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
+})
 
 
 def _each(fn: Callable) -> Callable:
@@ -172,20 +171,19 @@ _COLUMNS = SimpleNamespace(**{
 
 
 def _sharing() -> SimpleNamespace:
-    """The column backend for the bounds of one block. Each truncate keeps
-    the last pair of columns it gave, with its n column and order, and goes
-    on from it when asked for a higher order on the same n; each psi
-    function keeps its last column. Nothing is kept beyond that one entry
-    each."""
+    """The column backend for the bounds of one block, which all run on the
+    same n column. Each truncate keeps the last pair of columns it gave, with
+    its order, and goes on from it when asked for a higher order; a lower
+    order starts again. Each psi function keeps its last arguments and
+    column. Nothing is kept beyond that one entry each."""
     def truncate(loop):
-        at, k, p, q = None, 0, 1, 1  # the last n, order and pair
+        k, p, q = 0, 1, 1  # the last order and its pair; 0 when none
 
         def get(n, m):
-            nonlocal at, k, p, q
-            if at == n and k == m:
-                return p, q
-            p, q = loop(n, m, k, p, q) if at == n and k < m else loop(n, m)
-            at, k = n, m
+            nonlocal k, p, q
+            if k != m:
+                p, q = loop(n, m, k, p, q) if 0 < k < m else loop(n, m)
+                k = m
             return p, q
         return get
 
@@ -341,11 +339,7 @@ def W_UPPER_REFINED(m: int) -> BoundId:
 
 def family_labels(target: str) -> tuple[str, ...]:
     """Valid label tokens for --ids help text; parametric ones shown as kind:m."""
-    out = []
-    for f in _FAMILIES:
-        if f.target == target:
-            out.append(f"{f.kind}:m" if f.parametric else f.kind)
-    return tuple(out)
+    return tuple(f"{f.kind}:m" if f.parametric else f.kind for f in _FAMILIES if f.target == target)
 
 
 def parse_label(target: str, label: str) -> BoundId:
@@ -362,20 +356,8 @@ def parse_label(target: str, label: str) -> BoundId:
 
 def catalog(m_values: tuple[int, ...] = (1, 2, 3)) -> list[BoundSpec]:
     """Every bound family, parametric ones enumerated over m_values."""
-    specs: list[BoundSpec] = []
-    for f in _FAMILIES:
-        orders: tuple[int | None, ...] = m_values if f.parametric else (None,)
-        for m in orders:
-            specs.append(
-                BoundSpec(
-                    id=BoundId(f.target, f.kind, m),
-                    side=f.side,
-                    target=f.target,
-                    min_n=f.min_n,
-                    citation=f.citation,
-                )
-            )
-    return specs
+    return [BoundSpec(BoundId(f.target, f.kind, m), f.side, f.target, f.min_n, f.citation)
+            for f in _FAMILIES for m in (m_values if f.parametric else (None,))]
 
 
 def _check_nm(n: int, m: int) -> None:
@@ -448,25 +430,21 @@ def _blocks(items: Iterable) -> Iterator[list]:
 
 
 def _columns(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[tuple[int, list[float]]]:
-    """For each bound of ids, as (index into ids, column): its eval_bound
-    doubles at the n of ns from its min_n on, in the order of ns. The bounds
-    run on one _sharing backend in ascending m, so each truncate is only ever
-    extended. An n outside [1, MAX_DIMENSION] raises DomainError before any
-    bound is evaluated."""
+    """For each bound of ids, as (index into ids, column): its formula at
+    every n of ns, in the order of ns. From the bound's min_n on these are its
+    eval_bound doubles; below it, finite values that the readers mask. The
+    bounds run on one _sharing backend in ascending m, so each truncate is
+    only ever extended. An n outside [1, MAX_DIMENSION] raises DomainError
+    before any bound is evaluated."""
     if ns and not 1 <= min(ns) <= max(ns) <= MAX_DIMENSION:
         raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {min(ns)}..{max(ns)}")
-    plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula, bid.min_n)
+    plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula)
                   for i, bid in enumerate(ids))
     B = _sharing()
-    least = min(ns, default=0)
-    every_n = _Column(ns)
-    every_N = _Column(map(float, ns))
-    for m, i, formula, min_n in plan:
-        if min_n <= least:
-            yield i, formula(B, every_N, every_n, m)
-        else:
-            n = _Column(k for k in ns if k >= min_n)
-            yield i, formula(B, _Column(map(float, n)), n, m)
+    n = _Column(ns)
+    N = _Column(map(float, ns))
+    for m, i, formula in plan:
+        yield i, formula(B, N, n, m)
 
 
 def _rows(ids: Sequence[BoundId], ns: Iterable[int]) -> Iterator[list[float | None]]:
@@ -474,10 +452,10 @@ def _rows(ids: Sequence[BoundId], ns: Iterable[int]) -> Iterator[list[float | No
     bound of ids at n, None for a bound below its min_n."""
     min_ns = [bid.min_n for bid in ids]
     for block in _blocks(ns):
+        least = min(block)
         columns: list = [None] * len(ids)
         for i, column in _columns(ids, block):
-            if len(column) < len(block):
-                values = iter(column)
-                column = [next(values) if k >= min_ns[i] else None for k in block]
+            if least < min_ns[i]:
+                column = [v if k >= min_ns[i] else None for k, v in zip(block, column)]
             columns[i] = column
         yield from map(list, zip(*columns))

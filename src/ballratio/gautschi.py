@@ -113,10 +113,11 @@ def _dps(x: float, m: int) -> int:
 
 
 def _log_partial(x: float, a: float, m: int) -> mpmath.mpf:
-    """log f_m(x,a), m >= 0, in loggamma; the v, w, overtake and upper-cap
+    """log f_m(x,a), m >= 0, in loggamma, at _dps(x, m) digits or the caller's
+    working digits where those are more; the v, w, overtake and upper-cap
     partial products are all computed here."""
     lg = mpmath.loggamma
-    with mpmath.workdps(_dps(x, m)):
+    with mpmath.workdps(max(_dps(x, m), mpmath.mp.dps)):
         x, a = mpmath.mpf(x), mpmath.mpf(a)
         return (lg(m + 1) + lg(x + m) - lg(x) - lg(m + 1 - a) + lg(1 - a)
                 - lg(m + x + a) + lg(x + a))

@@ -197,6 +197,14 @@ def test_overtake_takes_a_few_partials(monkeypatch):
         assert len(calls) <= 4, n
 
 
+def test_overtake_resolves_one_factor_step_at_large_r_max():
+    # each value is the least r found by bisecting over [0, 10^20] with
+    # every log-gamma at 80 digits; there one factor step of log f_r is about
+    # 1e-31, below the ~1e-20 that the products' working digits resolve
+    for n, want in [(709268, 1427222561498275745), (581646, 787112800727664158)]:
+        assert A.product_overtake_index(n, 10**20) == want
+
+
 @pytest.mark.parametrize("call", [
     lambda: A.product_overtake_index(10**400, 10),
     lambda: A.product_overtake_index(3, 10**400),
@@ -311,6 +319,23 @@ def test_make_table_partial_flag():
     assert rep.rows[0][2] is None and rep.rows[0][4] is None
     assert rep.rows[0][3] is not None
     assert rep.rows[1][2] == B.eval_bound(B.W_UPPER_MERKLE_Q, 2)
+
+
+def test_columns_cover_a_block_below_a_bounds_min_n():
+    ids = [s.id for s in B.catalog((1, 2))]
+    block = list(range(1, 9))
+    for i, column in B._columns(ids, block):
+        # every bound has a finite value at every n of the block, below its
+        # min_n too, where the readers mask it
+        assert len(column) == len(block), ids[i].label()
+        assert all(map(math.isfinite, column)), ids[i].label()
+    for n, row in zip(block, B._rows(ids, block)):
+        assert [v is None for v in row] == [n < bid.min_n for bid in ids], n
+    rep = A.make_table("w", [B.W_UPPER_MERKLE_Q, B.W_UPPER_51], [1, 2], partial=True)
+    assert rep.rows[0][2] is None and rep.rows[0][4] is None
+    assert rep.rows[1][2] == B.eval_bound(B.W_UPPER_MERKLE_Q, 2)
+    with pytest.raises(DomainError):
+        B.eval_bound(B.W_UPPER_MERKLE_Q, 1)
 
 
 def test_make_table_rejects_target_mismatch_and_bad_n():

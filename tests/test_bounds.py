@@ -370,3 +370,21 @@ def test_truncates_go_on_from_a_lower_order():
                 assert Fraction(*loop(n, m)) == want[m], (loop.__name__, n, m)
                 for k in range(m + 1):
                     assert loop(n, m, k, *loop(n, k)) == loop(n, m), (loop.__name__, n, k, m)
+
+
+def test_sharing_truncates_start_again_below_their_last_order():
+    n = B._Column([1, 2, 9, 500])
+    for name in ("f", "sigma", "s", "w"):
+        loop = getattr(B._COLUMNS, name)
+        get = getattr(B._sharing(), name)
+        # up, the same order again, then down: each is the loop's pair
+        for m in (3, 5, 5, 2, 1, 4):
+            assert get(n, m) == loop(n, m), (name, m)
+
+
+def test_sharing_psi_columns_follow_their_arguments():
+    shared = B._sharing()
+    n = B._Column(range(1, 40))
+    for tv in (3, 5, 3, 5):
+        assert shared.psi_diff(n, tv) == B._COLUMNS.psi_diff(n, tv), tv
+

@@ -1,20 +1,21 @@
-"""Measure `ballratio verify` end to end and split by layer, for one or more
-source trees, and write the results as JSON.
+"""Measure `ballratio` commands end to end and `verify` split by layer, for
+one or more source trees, and write the results as JSON.
 
     python tools/bench.py --out BENCH.json parent=/path/to/other/src change=src
 
 Each LABEL=SRC names a source tree holding the `ballratio` package. For
 each tree (the order of the trees alternates from one run to the next):
 
-- `verify --n-max 10000` (5 runs) and `verify --n-max 100000` (3 runs),
-  each in a fresh interpreter; the wall time is taken with
-  time.perf_counter around the child, and the peak resident set from
-  os.wait4 of that child;
+- the commands of CLI_RUNS, each in a fresh interpreter: `verify --n-max
+  10000` (5 runs) and `--n-max 100000` (3 runs), and 5 runs each of the
+  sparse shapes that every `perfbench` `queries` round holds: v and w
+  tables at n = 30000 and 29999, and a near-tie crossover to 3000;
+  the wall time is taken with time.perf_counter around the child, and the
+  peak resident set from os.wait4 of that child;
 - the in-process split at n_max 5000 (7 runs), after one warm-up run of
   the same sweep: `ratio_walk`, the catalog's bound values
-  (bounds._columns block by block where the tree has it, bounds._rows
-  otherwise), and the whole `verify_tally`; decide/tally is the whole
-  minus the other two.
+  (bounds._columns block by block), and the whole `verify_tally`;
+  decide/tally is the whole minus the other two.
 
 Only the standard library is used here; the children import ballratio.
 """
@@ -30,7 +31,15 @@ import subprocess
 import sys
 import time
 
-RUNS = ((10_000, 5), (100_000, 3))  # (n_max, runs per tree) of the CLI
+# (name, arguments, runs per tree) of the CLI
+CLI_RUNS = (
+    ("verify_10000", ["verify", "--n-max", "10000"], 5),
+    ("verify_100000", ["verify", "--n-max", "100000"], 3),
+    ("bounds_v_30000", ["bounds", "--target", "v", "--n", "30000,29999"], 5),
+    ("bounds_w_30000", ["bounds", "--target", "w", "--n", "30000,29999"], 5),
+    ("crossover_w_3000", ["crossover", "--target", "w", "--ids", "upper-refined:1,upper-51",
+                          "--n-max", "3000"], 5),
+)
 SPLIT_REPS = 7
 
 SPLIT = r"""
@@ -43,12 +52,8 @@ ids = [s.id for s in bounds.catalog()]
 
 
 def values():
-    if hasattr(bounds, "_columns"):
-        for block in bounds._blocks(range(1, n_max + 1)):
-            for _ in bounds._columns(ids, block):
-                pass
-    else:
-        for _ in bounds._rows(ids, range(1, n_max + 1)):
+    for block in bounds._blocks(range(1, n_max + 1)):
+        for _ in bounds._columns(ids, block):
             pass
 
 
@@ -93,14 +98,13 @@ def main() -> None:
     args = parser.parse_args()
     trees = [tuple(t.split("=", 1)) for t in args.trees]
     raw: dict = {label: {} for label, _ in trees}
-    for n_max, reps in RUNS:
+    for name, cli, reps in CLI_RUNS:
         for rep in range(reps):
             order = trees if rep % 2 == 0 else trees[::-1]
             for label, src in order:
                 wall, rss, _ = _child(os.path.abspath(src), [
-                    "-c", "import sys; from ballratio.cli import main; sys.exit(main())",
-                    "verify", "--n-max", str(n_max)])
-                cell = raw[label].setdefault(f"verify_{n_max}", {"wall_s": [], "peak_rss_mb": []})
+                    "-c", "import sys; from ballratio.cli import main; sys.exit(main())", *cli])
+                cell = raw[label].setdefault(name, {"wall_s": [], "peak_rss_mb": []})
                 cell["wall_s"].append(wall)
                 cell["peak_rss_mb"].append(rss / 1024)
     for label, src in trees:
