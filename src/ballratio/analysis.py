@@ -1,10 +1,13 @@
 """Verification sweeps, sharpness comparison, and report assembly.
 
 Exact values are always the oracle side: bounds are compared against
-the correctly rounded doubles of v_exact/w_exact. A verification sweep
-reads them from one pass of ballvol.ratio_walk, which also decides
-Klein-Rota's w_n < 1 + 1/n at every n in integers; klein_rota_check reads
-the same walk. The sweep then walks n in blocks of bounds._BLOCK: in each
+the doubles ExactBallValue.to_real gives for v_exact/w_exact. Those round
+the mantissa once and then multiply by math.pi**p, a second rounding, so
+for p != 0 they are not always correctly rounded (up to 2 ulp off for v
+and 1 ulp for w at n <= MAX_DIMENSION). A verification sweep reads them
+from one pass of ballvol.ratio_walk, which also decides Klein-Rota's
+w_n < 1 + 1/n at every n in integers; klein_rota_check reads the same
+walk. The sweep then walks n in blocks of bounds._BLOCK: in each
 block, every bound comes as one column of bounds._columns, which computes
 each truncate and psi term once per n for all of them, and one generator
 decides sidedness column by column, with the tie scale taken once per n
@@ -289,22 +292,32 @@ def auxiliary_log_inequality(n: int) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs
 
 
+def _log1p_excess(x: float) -> float:
+    """x - log1p(x) for |x| <= 1/8 as the series sum_{k>=2} (-x)^k/k, which
+    keeps the digits that the direct form's cancellation to x^2/2 loses."""
+    total, power, k = 0.0, x * x, 2
+    while total + power / k != total:
+        total += power / k
+        power *= -x
+        k += 1
+    return total
+
+
 def w_upper_refined_vs_51_margin(n: int) -> float:
     """log of upper-51 minus log of upper-refined:1, rearranged exactly.
 
     The difference collapses to u - log1p(u) with u = 1/((n+1)(n+3)), which
-    is positive for every n >= 1 and numerically resolvable long after the
+    is positive for every n >= 1, about u^2/2, and resolvable long after the
     two bound values themselves collide in double precision.
     """
-    u = 1.0 / ((n + 1) * (n + 3))
-    return u - math.log1p(u)
+    return _log1p_excess(1 / ((n + 1) * (n + 3)))
 
 
 def w_lower_p_vs_443_margin(n: int) -> float:
-    """log of lower-p minus log of lower-443: log1p(u) - 1/(n+2)^2 with
-    u = 1/((n+1)(n+3)); positive, of order 1/(2(n+2)^4)."""
-    u = 1.0 / ((n + 1) * (n + 3))
-    return math.log1p(u) - 1.0 / (n + 2) ** 2
+    """log of lower-p minus log of lower-443: log1p(u) - v with
+    u = 1/((n+1)(n+3)) and v = 1/(n+2)^2. As 1 + u = 1/(1 - v), that is
+    -v - log1p(-v); positive, about v^2/2 = 1/(2(n+2)^4)."""
+    return _log1p_excess(-1 / (n + 2) ** 2)
 
 
 def w_upper_merkle_vs_alzer_margin(n: int) -> int:

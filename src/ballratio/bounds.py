@@ -14,7 +14,7 @@ each given as the int t = 2x. Three backends run the formulas:
 
 - FLOAT (eval_bound): doubles at one n. Each pair is rounded by a single
   correctly rounded division, and psi/psi' come from specfun's t-keyed
-  closed forms, 128-bit fixed-point integers rounded once, arranged so that
+  integer kernels, values in units of 2^-128 rounded once, arranged so that
   gamma and log-4 contributions cancel exactly where they should.
 - the shared column backend (_columns, and _rows and verify on top of it):
   FLOAT on a block of n at once, N a column of doubles and n one of ints.
@@ -30,8 +30,9 @@ each given as the int t = 2x. Three backends run the formulas:
   column. _columns asks in ascending m, so in each block every factor,
   summand and psi value is computed once per n, and only if some bound
   reads it.
-- MP (eval_bound_mp): FLOAT with mpmath's pi and functions, at 30 digits,
-  for near-tie adjudication.
+- MP (eval_bound_mp): FLOAT at 30 digits, for near-tie adjudication: pi,
+  sqrt, exp and the division are mpmath's, and psi/psi' read the same
+  integer kernels, each value rounded once at working precision.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
-from .specfun import _psi_diff, _psi_gamma, _trigamma
+from .specfun import _ONE, _psi_diff, _psi_gamma, _psi_rational, _trigamma
 
 _MP_DPS = 30  # digits of eval_bound_mp
 # Largest truncation order m. The truncates' integers grow with m, so the
@@ -115,12 +116,18 @@ FLOAT = SimpleNamespace(
     ratio=operator.truediv,  # int true division rounds once, correctly
     psi_slope=_psi_slope(math.pi, _psi_gamma),
     psi_diff=_psi_diff,
-    trigamma=_trigamma,
+    trigamma=lambda t: _trigamma(t) / _ONE,
     f=_f_m,
     sigma=_sigma,
     s=_s,
     w=_w_trunc,
 )
+
+
+def _mp_fixed(units: int, log4s: int):
+    """A kernel value, units * 2^-128 - log4s * log 4, at working precision."""
+    return mpmath.mpf(units) / _ONE - log4s * 2 * mpmath.ln2
+
 
 MP = SimpleNamespace(**{
     **vars(FLOAT),
@@ -128,11 +135,10 @@ MP = SimpleNamespace(**{
     "sqrt": mpmath.sqrt,
     "exp": mpmath.exp,
     "ratio": lambda p, q: mpmath.mpf(p) / q,
-    "psi_slope": _psi_slope(mpmath.pi, lambda t: mpmath.digamma(mpmath.mpf(t) / 2)
-                            + mpmath.euler),
-    "psi_diff": lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
-                                - mpmath.digamma(mpmath.mpf(tv) / 2)),
-    "trigamma": lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
+    "psi_slope": _psi_slope(mpmath.pi, lambda t: _mp_fixed(_psi_rational(t), t % 2)),
+    "psi_diff": lambda tu, tv: _mp_fixed(_psi_rational(tu) - _psi_rational(tv),
+                                         tu % 2 - tv % 2),
+    "trigamma": lambda t: _mp_fixed(_trigamma(t), 0),
 })
 
 

@@ -8,28 +8,32 @@ functions have closed forms built from finite rational sums:
     psi'(m)      = pi^2/6 - sum_{j=1}^{m-1} 1/j^2
     psi'(m+1/2)  = pi^2/2 - 4 * sum_{j=1}^{m} 1/(2j-1)^2
 
-digamma_parts/trigamma_parts return those sums exactly, summed on demand
-by binary splitting; no evaluation path uses them. Evaluation takes the
-int t = 2x and works in 128-bit integer fixed point, rounding once:
+digamma_parts returns psi's sum exactly, by binary splitting; no
+evaluation path uses it. Evaluation takes the int t = 2x and reads two
+integer kernels in units of 2^-128, which every reader, double or mpmath,
+rounds once:
 
-- the rational part of psi, H_{m-1} or 2 H_{2m} - H_m, rounded to nearest,
-  so gamma and log 4 cancel exactly in differences. It is walked over t by
-  psi(x) = psi(x-1) + 1/(x-1) in integers, lazily up to the largest t asked
-  for, and kept as fixed-width records of one byte string: 3.4 MB at the
-  cap t = 2 * MAX_DIMENSION, above which no argument is accepted;
-- psi' itself (recurrence, then the asymptotic series), not memoised:
-  pi^2/6 minus the sum would lose about log10(x) digits in double.
+- _psi_rational(t), psi's rational part H_{m-1} or 2 H_{2m} - H_m rounded
+  to nearest, so gamma and log 4 cancel exactly in differences. It is walked
+  over t by psi(x) = psi(x-1) + 1/(x-1) in integers, lazily up to the
+  largest t asked for, and kept as fixed-width records of one byte string:
+  3.4 MB at the cap t = 2 * MAX_DIMENSION, above which no t is accepted;
+- _trigamma(t), psi' itself (recurrence, then the asymptotic series), not
+  memoised: pi^2/6 minus the sum would lose about log10(x) digits in
+  double. Its error is within 2^-115 of the value plus 64 units (at most
+  197, at t = 64). That bound is absolute, so trigamma_closed refuses
+  x > MAX_DIMENSION too: at x = 1e40 it would return a negative psi'.
 
-The generic series representation of psi(x+1) is kept as an independent
-cross-check and for non-half-integer arguments; its K-term partial sum is
-evaluated in closed form, psi(x+1) - psi(K+x+1) + psi(K+1), so any K costs
-the same.
+The minorant inequalities are decided in mpmath, apart from both kernels.
+The generic series of psi(x+1) is kept as an independent cross-check and
+for other arguments; its K-term partial sum is evaluated in closed form,
+psi(x+1) - psi(K+x+1) + psi(K+1), so any K costs the same.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 import mpmath
@@ -40,10 +44,8 @@ from .gautschi import _double
 from .truncation import TruncationControl
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
-PI = math.pi
 LOG4 = math.log(4.0)
 ALPHA = 2.0 - EULER_GAMMA - LOG4  # = psi(3/2) = psi(-1/2)
-BETA = PI / 2.0 - 1.0
 
 _ONE = 1 << 128  # the fixed-point scale of psi and psi' values
 _ASYMPTOTIC_X = 32
@@ -157,16 +159,10 @@ def _psi_gamma(t: int) -> float:
     return _psi_rational(t) / _ONE - t % 2 * LOG4
 
 
-def digamma_float_parts(x) -> tuple[float, int]:
-    """digamma_parts(x) with the rational part rounded once to a double."""
-    t = _twice(x)
-    return _psi_rational(t) / _ONE, t % 2
-
-
 def digamma_closed(x) -> float:
     """psi at a half-integer x >= 1/2, from the exact closed form."""
-    rational, log4s = digamma_float_parts(x)
-    return rational - EULER_GAMMA - log4s * LOG4
+    t = _twice(x)
+    return _psi_rational(t) / _ONE - EULER_GAMMA - t % 2 * LOG4
 
 
 def digamma_diff(u, v) -> float:
@@ -178,19 +174,11 @@ def digamma_diff(u, v) -> float:
     return _psi_diff(_twice(u), _twice(v))
 
 
-def trigamma_parts(x) -> tuple[Fraction, Fraction]:
-    """Exact decomposition psi'(x) = pi2_coeff * pi^2 - rational."""
-    t = _twice(x)
-    if t % 2 == 0:
-        return Fraction(1, 6), _reciprocal_sum([j * j for j in range(1, t // 2)])
-    return Fraction(1, 2), 4 * _reciprocal_sum([j * j for j in range(1, t, 2)])
-
-
-def _trigamma(t: int) -> float:
-    """psi'(t/2) in 128-bit fixed point, rounded once: the recurrence
-    psi'(x) = psi'(x+1) + 1/x^2 up to x >= _ASYMPTOTIC_X, then the asymptotic
-    series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (DLMF 5.15.8) through
-    B_26, whose first omitted term is below 2^-115 of the value there."""
+def _trigamma(t: int) -> int:
+    """psi'(t/2) in units of 2^-128: the recurrence psi'(x) = psi'(x+1) +
+    1/x^2 up to x >= _ASYMPTOTIC_X, then the asymptotic series 1/x +
+    1/(2x^2) + sum_k B_2k / x^(2k+1) (DLMF 5.15.8) through B_26, whose first
+    omitted term is below 2^-115 of the value there; each term is floored."""
     s = 0
     while t < 2 * _ASYMPTOTIC_X:
         s += (_ONE << 2) // (t * t)  # 1/x^2 = 4/t^2
@@ -201,12 +189,15 @@ def _trigamma(t: int) -> float:
     for p, q in _BERNOULLI:
         power *= tt  # t^(2k+1)
         s += p // (q * power)
-    return s / _ONE
+    return s
 
 
 def trigamma_closed(x) -> float:
-    """psi' at a half-integer x >= 1/2, to within one rounding."""
-    return _trigamma(_twice(x))
+    """psi' at a half-integer 1/2 <= x <= MAX_DIMENSION, to one rounding."""
+    t = _twice(x)
+    if t > _T_MAX:
+        raise DomainError(f"psi' at a half-integer needs x <= {MAX_DIMENSION}, got x = {t}/2")
+    return _trigamma(t) / _ONE
 
 
 def _series_partial(x: float, terms: int) -> float:
@@ -249,25 +240,21 @@ def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
     return _series_partial(xf, terms)
 
 
-def _psi_any(t: float) -> float:
-    if is_half_integer(t) and 0.5 <= t <= MAX_DIMENSION:
-        return digamma_closed(t)
-    return float(mpmath.digamma(t))
+def _minorant_check(x, sides: Callable) -> tuple[float, float, bool]:
+    """The doubles of (lhs, rhs) = sides(x) at x > 0 and the verdict lhs < rhs,
+    all from mpmath at 20 digits plus two per decade of x away from 1: each
+    gap shrinks against its sides like x^-2 as x grows, like x or x^2 to 0."""
+    xf = _double(x, "argument")
+    if not 0.0 < xf < math.inf:
+        raise DomainError(f"argument must be positive and finite, got {x!r}")
+    with mpmath.workdps(20 + 2 * math.ceil(abs(math.log10(xf)))):
+        lhs, rhs = sides(mpmath.mpf(xf))
+        return float(lhs), float(rhs), lhs < rhs
 
 
 def psi_lower_ineq(t) -> tuple[float, float, bool]:
-    """Check log(t + 1/2) - 1/t < psi(t) at t > 0.
-
-    Returns (lhs, rhs, holds). The right side uses the exact closed form at
-    half-integers up to MAX_DIMENSION and arbitrary-precision digamma
-    elsewhere.
-    """
-    tf = float(t)
-    if not 0.0 < tf < math.inf:
-        raise DomainError(f"argument must be positive and finite, got {t!r}")
-    lhs = math.log(tf + 0.5) - 1.0 / tf
-    rhs = _psi_any(tf)
-    return lhs, rhs, lhs < rhs
+    """Check log(t + 1/2) - 1/t < psi(t) at t > 0. Returns (lhs, rhs, holds)."""
+    return _minorant_check(t, lambda x: (mpmath.log(x + 0.5) - 1 / x, mpmath.digamma(x)))
 
 
 def trigamma_lower_ineq(x) -> tuple[float, float, bool]:
@@ -276,12 +263,5 @@ def trigamma_lower_ineq(x) -> tuple[float, float, bool]:
     Returns (lhs, rhs, holds) with lhs the elementary rational minorant and
     rhs = psi'(x).
     """
-    xf = float(x)
-    if not 0.0 < xf < math.inf:
-        raise DomainError(f"argument must be positive and finite, got {x!r}")
-    lhs = 1.0 / (xf + 1.0) + 1.0 / (xf * xf) + 0.5 / ((xf + 1.0) ** 2)
-    if is_half_integer(xf) and xf >= 0.5:
-        rhs = trigamma_closed(xf)
-    else:
-        rhs = float(mpmath.polygamma(1, xf))
-    return lhs, rhs, rhs > lhs
+    return _minorant_check(x, lambda x: (1 / (x + 1) + 1 / (x * x) + 1 / (2 * (x + 1) ** 2),
+                                         mpmath.polygamma(1, x)))

@@ -380,6 +380,20 @@ def test_margins_match_value_space_at_small_n():
         assert abs(direct - A.w_lower_p_vs_443_margin(n)) < 1e-12
 
 
+def test_margins_stay_positive_and_accurate_at_large_n():
+    # u - log1p(u) and log1p(u) - 1/(n+2)^2 cancel to about u^2/2 in double
+    import mpmath
+
+    for n in (*range(1, 1001), *(10**k for k in range(4, 16))):
+        with mpmath.workdps(50):
+            u, v = mpmath.mpf(1) / ((n + 1) * (n + 3)), mpmath.mpf(1) / (n + 2) ** 2
+            refined, p = u - mpmath.log1p(u), mpmath.log1p(u) - v
+        got = A.w_upper_refined_vs_51_margin(n)
+        assert got > 0 and abs(got - refined) <= 1e-12 * refined, n
+        got = A.w_lower_p_vs_443_margin(n)
+        assert got > 0 and abs(got - p) <= 1e-12 * p, n
+
+
 def test_tally_matches_a_per_bound_loop_over_eval_bound():
     # an independent reader: one eval_bound per (bound, n), as the tally was
     # once computed, against the per-n rows that verify_tally consumes

@@ -261,6 +261,42 @@ def test_mp_twin_agrees_with_float_path():
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), (s.id.label(), n)
 
 
+def test_mp_twin_is_within_1e_29_of_60_digits():
+    # the reference is MP with psi and psi' from mpmath's digamma and polygamma
+    import mpmath
+    from types import SimpleNamespace
+
+    ref = SimpleNamespace(**{
+        **vars(B.MP),
+        "psi_slope": B._psi_slope(mpmath.pi, lambda t: mpmath.digamma(mpmath.mpf(t) / 2)
+                                  + mpmath.euler),
+        "psi_diff": lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
+                                    - mpmath.digamma(mpmath.mpf(tv) / 2)),
+        "trigamma": lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
+    })
+    for s in B.catalog((1, 2, 3, 7)):
+        formula = B._BY_KEY[(s.target, s.id.kind)].formula
+        for n in (*range(s.min_n, 120), 999, 5000, 29_999, 100_000):
+            got = B.eval_bound_mp(s.id, n)
+            with mpmath.workdps(60):
+                want = formula(ref, mpmath.mpf(n), n, s.id.m)
+                assert abs(got - want) <= 1e-29 * abs(want), (s.id.label(), n)
+
+
+def test_mp_twin_reads_the_integer_kernels(monkeypatch):
+    # psi and psi' come from specfun's fixed-point integers, not from mpmath
+    import mpmath
+
+    def refuse(*args):
+        raise AssertionError("mpmath special function called")
+
+    for name in ("digamma", "psi", "polygamma"):
+        monkeypatch.setattr(mpmath, name, refuse)
+    for s in B.catalog((1, 2, 3, 7)):
+        for n in (*range(s.min_n, 40), 5000, 100_000):
+            B.eval_bound_mp(s.id, n)
+
+
 def test_mp_twin_min_n_rejection():
     with pytest.raises(DomainError):
         B.eval_bound_mp(B.W_UPPER_MERKLE_Q, 1)

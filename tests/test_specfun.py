@@ -27,7 +27,6 @@ def test_constants():
     assert sf.LOG4 == math.log(4.0)
     assert sf.ALPHA == 2.0 - sf.EULER_GAMMA - sf.LOG4
     assert 0.036 < sf.ALPHA < 0.037
-    assert sf.BETA == math.pi / 2.0 - 1.0
 
 
 def test_digamma_closed_spot_values():
@@ -58,16 +57,6 @@ def test_digamma_recurrence_exact(twice_x):
     r1, c1 = sf.digamma_parts(x + 1)
     assert c1 == c0
     assert r1 - r0 == 1 / x
-
-
-@given(st.integers(min_value=1, max_value=400))
-def test_trigamma_recurrence_exact(twice_x):
-    # psi'(x+1) = psi'(x) - 1/x^2 at the parts level
-    x = Fraction(twice_x, 2)
-    c0, r0 = sf.trigamma_parts(x)
-    c1, r1 = sf.trigamma_parts(x + 1)
-    assert c1 == c0
-    assert r1 - r0 == 1 / x**2
 
 
 def test_half_integer_domain():
@@ -165,13 +154,6 @@ def test_trigamma_closed_spot_values():
     assert abs(sf.trigamma_closed(Fraction(3, 2)) - 0.93480220054467930942) < 1e-15
 
 
-def test_trigamma_parts_are_exact_rationals():
-    assert sf.trigamma_parts(1) == (Fraction(1, 6), 0)
-    assert sf.trigamma_parts(HALF) == (Fraction(1, 2), 0)
-    assert sf.trigamma_parts(2) == (Fraction(1, 6), 1)
-    assert sf.trigamma_parts(Fraction(3, 2)) == (Fraction(1, 2), 4)
-
-
 def test_psi_lower_spot_values():
     lhs, rhs, holds = sf.psi_lower_ineq(1)
     assert abs(lhs - (-0.59453489189183562)) < 1e-14
@@ -240,12 +222,42 @@ def test_trigamma_closed_matches_40_digit_mpmath():
             assert abs(got - want) <= 1e-15 * want, t
 
 
+def test_trigamma_closed_stops_at_the_cap():
+    top = bv.MAX_DIMENSION
+    assert sf.trigamma_closed(top) == sf._trigamma(2 * top) / 2**128
+    for bad in (top + HALF, top + 1, 1e25, 1e40):
+        with pytest.raises(DomainError):
+            sf.trigamma_closed(bad)
+
+
+def test_trigamma_kernel_error_budget():
+    # |_trigamma(t) - psi'(t/2) 2^128| <= 2^-115 of the value plus 64 units
+    import mpmath
+
+    with mpmath.workdps(60):
+        for t in [*range(1, 3001), *range(3001, 2 * bv.MAX_DIMENSION + 1, 997)]:
+            want = mpmath.psi(1, mpmath.mpf(t) / 2) * 2**128
+            assert abs(sf._trigamma(t) - want) <= want / 2**115 + 64, t
+
+
+def test_minorant_checks_resolve_gaps_below_a_double():
+    # gaps of 1/(24 t^2) = 2.27e-15 and 1/(6 x^3) = 5.23e-24 under sides of
+    # 15.3 and 3.2e-8, and sides of about 1/x or 1/x^2 near 0
+    assert sf.psi_lower_ineq(4287959.5)[2]
+    assert sf.trigamma_lower_ineq(31696541.0)[2]
+    for x in (1e-300, 1e-8, 1e8, 1e300):
+        assert sf.psi_lower_ineq(x)[2], x
+        assert sf.trigamma_lower_ineq(x)[2], x
+    for fn in (sf.psi_lower_ineq, sf.trigamma_lower_ineq):
+        with pytest.raises(DomainError):
+            fn(10**400)
+
+
 def test_float_parts_round_the_exact_parts_once():
     # the exact binary-splitting sums, rounded once, are the reference
     for t in [*range(1, 401), 2001, 2002, 5001, 5002]:
         x = Fraction(t, 2)
         rational, log4s = sf.digamma_parts(x)
-        assert sf.digamma_float_parts(x) == (float(rational), log4s)
         assert sf.digamma_closed(x) == float(rational) - sf.EULER_GAMMA - log4s * sf.LOG4
         r3, c3 = sf.digamma_parts(Fraction(3, 2))
         assert sf.digamma_diff(x, Fraction(3, 2)) == float(rational - r3) - (log4s - c3) * sf.LOG4
@@ -329,7 +341,7 @@ def test_digamma_doubles_are_pinned():
 
 def test_digamma_closed_stops_at_the_cap():
     top = bv.MAX_DIMENSION
-    assert sf.digamma_closed(top) == sf.digamma_float_parts(top)[0] - sf.EULER_GAMMA
+    assert sf.digamma_closed(top) == sf._psi_rational(2 * top) / 2**128 - sf.EULER_GAMMA
     for bad in (top + HALF, top + 1):
         with pytest.raises(DomainError):
             sf.digamma_closed(bad)

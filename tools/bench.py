@@ -12,10 +12,16 @@ each tree (the order of the trees alternates from one run to the next):
   tables at n = 30000 and 29999, and a near-tie crossover to 3000;
   the wall time is taken with time.perf_counter around the child, and the
   peak resident set from os.wait4 of that child;
-- the in-process split at n_max 5000 (7 runs), after one warm-up run of
-  the same sweep: `ratio_walk`, the catalog's bound values
-  (bounds._columns block by block), and the whole `verify_tally`;
-  decide/tally is the whole minus the other two.
+- the in-process measurements of IN_PROCESS, each run a fresh interpreter
+  that measures once after a warm-up:
+  - the split of `verify_tally` at n_max 5000 (7 runs) and at the cap
+    100000 (3 runs): `ratio_walk`, the catalog's bound values
+    (bounds._columns block by block), and the whole `verify_tally`;
+    decide/tally is the whole minus the other two;
+  - (5 runs) µs per n of each catalog family in bounds._columns at n_max
+    5000, all of its orders together, as one `_columns` call per block;
+    and µs per `eval_bound_mp` call of each bound of MP_IDS, over the 200 n
+    from 20000 on.
 
 Only the standard library is used here; the children import ballratio.
 """
@@ -40,14 +46,14 @@ CLI_RUNS = (
     ("crossover_w_3000", ["crossover", "--target", "w", "--ids", "upper-refined:1,upper-51",
                           "--n-max", "3000"], 5),
 )
-SPLIT_REPS = 7
+MP_IDS = ("v:lower-d:2", "v:upper-h:2", "w:lower-trigamma", "w:upper-refined:1")
 
 SPLIT = r"""
 import json, sys, time
 from ballratio import analysis, bounds
 from ballratio.ballvol import ratio_walk
 
-n_max, reps = int(sys.argv[1]), int(sys.argv[2])
+n_max = int(sys.argv[1])
 ids = [s.id for s in bounds.catalog()]
 
 
@@ -58,16 +64,50 @@ def values():
 
 
 analysis.verify_tally(ids, n_max)  # warm-up: the psi table is built once
-out = {"ratio_walk_s": [], "catalog_values_s": [], "verify_tally_s": []}
-for _ in range(reps):
-    for key, run in (("ratio_walk_s", lambda: list(ratio_walk(n_max))),
-                     ("catalog_values_s", values),
-                     ("verify_tally_s", lambda: analysis.verify_tally(ids, n_max))):
-        t0 = time.perf_counter()
-        run()
-        out[key].append(time.perf_counter() - t0)
+out = {}
+for key, run in (("ratio_walk_s", lambda: list(ratio_walk(n_max))),
+                 ("catalog_values_s", values),
+                 ("verify_tally_s", lambda: analysis.verify_tally(ids, n_max))):
+    t0 = time.perf_counter()
+    run()
+    out[key] = time.perf_counter() - t0
+out["decide_tally_s"] = out["verify_tally_s"] - out["ratio_walk_s"] - out["catalog_values_s"]
 print(json.dumps(out))
 """
+
+PARTS = r"""
+import json, sys, time
+from ballratio import analysis, bounds
+
+families = {}
+for s in bounds.catalog():
+    families.setdefault(f"{s.target}:{s.id.kind}", []).append(s.id)
+blocks = list(bounds._blocks(range(1, 5001)))
+mp_ns = range(20_000, 20_200)
+analysis.verify_tally([s.id for s in bounds.catalog()], 20_200)  # warm-up: the psi table
+out = {}
+for name, ids in families.items():
+    t0 = time.perf_counter()
+    for block in blocks:
+        for _ in bounds._columns(ids, block):
+            pass
+    out[f"columns_us_per_n:{name}"] = (time.perf_counter() - t0) / 5000 * 1e6
+for name in sys.argv[1].split(","):
+    target, _, label = name.partition(":")
+    bid = bounds.parse_label(target, label)
+    t0 = time.perf_counter()
+    for n in mp_ns:
+        bounds.eval_bound_mp(bid, n)
+    out[f"eval_bound_mp_us:{name}"] = (time.perf_counter() - t0) / len(mp_ns) * 1e6
+print(json.dumps(out))
+"""
+
+# (name, arguments after -c, runs per tree) of the in-process measurements
+IN_PROCESS = (
+    ("split_5000", [SPLIT, "5000"], 7),
+    ("split_100000", [SPLIT, "100000"], 3),
+    ("parts", [PARTS, ",".join(MP_IDS)], 5),
+)
 
 
 def _child(src: str, argv: list[str]) -> tuple[float, int, str]:
@@ -85,6 +125,13 @@ def _child(src: str, argv: list[str]) -> tuple[float, int, str]:
     return wall, usage.ru_maxrss, out.decode()
 
 
+def _alternating(trees: list, reps: int):
+    """(label, src) of each tree for each of reps runs, the order of the trees
+    reversed every other run."""
+    for rep in range(reps):
+        yield from trees if rep % 2 == 0 else trees[::-1]
+
+
 def _summary(xs: list[float]) -> dict:
     xs = sorted(xs)
     q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
@@ -99,20 +146,18 @@ def main() -> None:
     trees = [tuple(t.split("=", 1)) for t in args.trees]
     raw: dict = {label: {} for label, _ in trees}
     for name, cli, reps in CLI_RUNS:
-        for rep in range(reps):
-            order = trees if rep % 2 == 0 else trees[::-1]
-            for label, src in order:
-                wall, rss, _ = _child(os.path.abspath(src), [
-                    "-c", "import sys; from ballratio.cli import main; sys.exit(main())", *cli])
-                cell = raw[label].setdefault(name, {"wall_s": [], "peak_rss_mb": []})
-                cell["wall_s"].append(wall)
-                cell["peak_rss_mb"].append(rss / 1024)
-    for label, src in trees:
-        _, _, out = _child(os.path.abspath(src), ["-c", SPLIT, "5000", str(SPLIT_REPS)])
-        split = json.loads(out)
-        split["decide_tally_s"] = [t - w - c for t, w, c in zip(
-            split["verify_tally_s"], split["ratio_walk_s"], split["catalog_values_s"])]
-        raw[label]["split_5000"] = split
+        for label, src in _alternating(trees, reps):
+            wall, rss, _ = _child(os.path.abspath(src), [
+                "-c", "import sys; from ballratio.cli import main; sys.exit(main())", *cli])
+            cell = raw[label].setdefault(name, {"wall_s": [], "peak_rss_mb": []})
+            cell["wall_s"].append(wall)
+            cell["peak_rss_mb"].append(rss / 1024)
+    for name, argv, reps in IN_PROCESS:
+        for label, src in _alternating(trees, reps):
+            _, _, out = _child(os.path.abspath(src), ["-c", *argv])
+            cell = raw[label].setdefault(name, {})
+            for metric, x in json.loads(out).items():
+                cell.setdefault(metric, []).append(x)
     result = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
