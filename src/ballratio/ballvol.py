@@ -34,7 +34,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import BallRatioError, DomainError, NonConvergenceError
-from .gautschi import _double, _log_partial, joint_factor
+from .gautschi import _cutoff, _double, _log_partial, joint_factor
 from .truncation import TruncationControl
 
 # 34-digit brackets: PI_LO < pi < PI_HI. Wide enough to separate every
@@ -264,25 +264,17 @@ def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
 
     The dropped terms telescope exactly:
     sum_{k>m} 1/((2k+n)^2 - 1) = 1/(2(2m+n+1)), so tolerance mode picks the
-    smallest m with that quantity below eps.
+    least m >= 0 with that quantity below eps (m = 0 is the empty product, 1).
     """
     if n < 1:
         raise DomainError(f"w_n needs n >= 1, got {n}")
     nf = _double(n, "n")
     if ctrl is None:
         ctrl = TruncationControl.tolerance()
-    if ctrl.is_fixed:
-        m = ctrl.m
-    else:
-        # int(q) + 1 factors are needed: over max_terms iff q >= max_terms (q may be inf)
-        q = (1.0 / (2.0 * ctrl.eps) - nf - 1.0) / 2.0
-        if q >= ctrl.max_terms:
-            cap = ctrl.max_terms
-            raise NonConvergenceError(
-                f"w product at n={n} needs over {cap} factors for eps={ctrl.eps}",
-                partial=_w_partial(n, cap),
-                tail_bound=1.0 / (2.0 * (2.0 * cap + nf + 1.0)),
-                terms=cap,
-            )
-        m = max(0, int(q) + 1)
+    # 1/(2(2k+n+1)) as 0.25/(k+n/2+1/2): the same doubles, but 2k cannot
+    # overflow to a bound of 0 at a budget near the largest double
+    m = _cutoff(ctrl, lambda k: 0.25 / (k + nf / 2.0 + 0.5),
+                lambda: math.floor((1.0 / (2.0 * ctrl.eps) - nf - 1.0) / 2.0) + 1,
+                lambda k: _w_partial(n, k),
+                f"w product at n={n} needs over {{}} factors", least=0)
     return _w_partial(n, m)

@@ -74,6 +74,30 @@ def _least(pred, lo: int, hi: int, guess: tuple[int, int]) -> int | None:
     return hi
 
 
+def _cutoff(ctrl: TruncationControl, tail, guess, partial, what: str, least: int = 1) -> int:
+    """The term count ctrl asks for: ctrl.m in fixed mode, else the least
+    m >= least with tail(m) < eps, for tail decreasing in m. guess() claims
+    that m (max_terms if it cannot be computed); a wrong claim costs a few
+    more tail calls. A budget past the largest double is taken at that
+    double, where the bound still holds. If tail misses eps there, so does
+    every m: NonConvergenceError carries partial(max_terms), and its message
+    is what with max_terms in place of {}."""
+    if ctrl.is_fixed:
+        return ctrl.m
+    eps, cap = ctrl.eps, min(ctrl.max_terms, _LARGEST_INT)
+    bound = tail(cap)
+    if not bound < eps:
+        raise NonConvergenceError(what.format(ctrl.max_terms) + f" for eps={eps}",
+                                  partial=partial(ctrl.max_terms),
+                                  tail_bound=bound, terms=ctrl.max_terms)
+    try:
+        g = guess()
+    except (OverflowError, ValueError, ZeroDivisionError):
+        g = cap
+    g = min(max(g, least), cap)
+    return _least(lambda m: tail(m) < eps, least - 1, cap, (g, g))
+
+
 def _validate(x, a) -> tuple[float, float]:
     xf, af = _double(x, "x"), _double(a, "a")
     if not 0.0 < xf < math.inf:
@@ -129,16 +153,14 @@ def _tail_bound(xf: float, af: float, m: int) -> float:
     Integral comparison: the summand is |c|/((k-a)(k+b)), decreasing in k,
     so the tail is below the integral from m, which evaluates to
     (|c|/(a+b)) log1p((a+b)/(m-a)), free of cancellation at large m; the
-    degenerate a+b = 0 case collapses to |c|/(m-a). The bound decreases in
-    m, so an m beyond the largest double, where m - a has no double, takes
-    the bound at that largest double, which still holds.
+    degenerate a+b = 0 case collapses to |c|/(m-a).
     """
     c = af * (xf + af - 1.0)
     if c == 0.0:
         return 0.0
     b = xf + af - 1.0
     denom = af + b
-    room = min(m, _LARGEST_INT) - af
+    room = m - af
     if denom == 0.0:
         return abs(c) / room
     return abs(c / denom * math.log1p(denom / room))
@@ -149,31 +171,21 @@ def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductR
     xf, af = _validate(x, a)
     if ctrl is None:
         ctrl = TruncationControl.tolerance()
-    if ctrl.is_fixed:
-        m = ctrl.m
-    else:
-        c = af * (xf + af - 1.0)
+    c = af * (xf + af - 1.0)
+    if not ctrl.is_fixed:
         if c == 0.0:
             # x = 1 - a (or a = 0): every factor is exactly 1
             return ProductResult(value=1.0, terms_used=0, tail_bound=0.0)
         if c < 0.0:
             raise DomainError("tolerance mode needs factors >= 1, i.e. a(x+a-1) >= 0; "
                               f"got x={x!r}, a={a!r}")
-        # the tail bound decreases in m: if it misses eps at max_terms, every m does
-        cap, eps = ctrl.max_terms, ctrl.eps
-        tail = _tail_bound(xf, af, cap)
-        if tail >= eps:
-            raise NonConvergenceError(
-                f"joint factor at x={xf}, a={af} needs over {cap} factors for eps={eps}",
-                partial=float(mpmath.exp(_log_partial(xf, af, cap))), tail_bound=tail, terms=cap)
-        # (c/s) log1p(s/(m-a)) < eps, with s = 2a+x-1 of c's sign, solves to
-        # m > a + s/expm1(eps s/c); the bound itself checks the guess
-        s = 2.0 * af + xf - 1.0
-        try:
-            guess = math.floor(af + s / math.expm1(eps * s / c)) + 1
-        except (OverflowError, ValueError, ZeroDivisionError):
-            guess = cap
-        m = _least(lambda k: _tail_bound(xf, af, k) < eps, 0, cap, (guess, guess))
+    # (c/s) log1p(s/(m-a)) < eps, with s = 2a+x-1 of c's sign, solves to
+    # m > a + s/expm1(eps s/c)
+    s = 2.0 * af + xf - 1.0
+    m = _cutoff(ctrl, lambda k: _tail_bound(xf, af, k),
+                lambda: math.floor(af + s / math.expm1(ctrl.eps * s / c)) + 1,
+                lambda k: float(mpmath.exp(_log_partial(xf, af, k))),
+                f"joint factor at x={xf}, a={af} needs over {{}} factors")
     return ProductResult(value=float(mpmath.exp(_log_partial(xf, af, m))), terms_used=m,
                          tail_bound=_tail_bound(xf, af, m))
 

@@ -170,6 +170,13 @@ def test_products_tiny_tolerance_exhausts_the_budget(fn, over, eps):
     assert exc.value.partial / over == fn(3, TruncationControl.fixed(1000))
 
 
+def test_w_product_tail_stays_positive_at_a_budget_near_the_largest_double():
+    # 2(2m + n + 1) has no double at m = 10^308; the tail bound must not read 0
+    with pytest.raises(NonConvergenceError) as exc:
+        bv.w_product(3, TruncationControl.tolerance(1e-320, max_terms=10**308))
+    assert exc.value.terms == 10**308 and exc.value.tail_bound > 1e-320
+
+
 def test_v_product_takes_a_budget_beyond_a_double():
     huge = TruncationControl.tolerance(1e-6, max_terms=10**400)
     assert bv.v_product(5, huge) == bv.v_product(5, TruncationControl.tolerance(1e-6, 10**308))

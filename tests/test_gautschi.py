@@ -8,7 +8,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from ballratio import ballvol as bv
 from ballratio import gautschi as ga
+from ballratio import specfun as sf
 from ballratio.errors import DomainError, NonConvergenceError
 from ballratio.truncation import TruncationControl
 
@@ -117,6 +119,44 @@ def test_a_budget_beyond_a_double_acts_as_a_large_one():
     assert want.terms_used == 1250000
     assert ga.joint_factor_result(3.0, 0.5, huge) == want
     assert ga.gautschi_ratio(3.0, 0.5, huge) == ga.gautschi_ratio(3.0, 0.5, large)
+
+
+def _first_true(ok, lo: int, hi: int) -> int:
+    """Least m in [lo, hi] with ok(m), for ok false then true and ok(hi) true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid + 1, hi)
+    return lo
+
+
+# (consumer, its documented tail bound at m, the least m it may take, arguments,
+# tolerances) of each user of the one tolerance rule; the w cases include
+# eps 0.3 at n = 1, 2 and 0.1 at n = 5, where the empty product 1 already meets
+# eps, and the digamma cases the benchmark pool x = j/4 at eps 1e-6, where
+# |x|/ceil(|x|/eps) equals eps
+_RULE_CASES = [
+    (lambda x, ctrl: ga.joint_factor_result(x, 0.5, ctrl).value,
+     lambda x, m: ga._tail_bound(x, 0.5, m), 1, (0.75, 1.5, 3.0, 40.0, 1e4), (1e-9, 1e-6, 1e-3)),
+    (bv.w_product, lambda n, m: 1.0 / (2.0 * (2.0 * m + n + 1.0)), 0,
+     (*range(1, 13), 100, 10**5), (0.3, 0.1, 1e-3, 1e-7)),
+    (sf.digamma_series, lambda x, m: abs(x) / m, 1,
+     [j / 4 for j in range(-3, 33) if j], (1.5e-3, 1e-6)),
+]
+
+
+@pytest.mark.parametrize("fn, tail, least, args, tolerances", _RULE_CASES)
+def test_tolerance_mode_takes_the_least_m_with_tail_below_eps(fn, tail, least, args, tolerances):
+    for arg in args:
+        for eps in tolerances:
+            m = _first_true(lambda m: tail(arg, m) < eps, least, 10**15)
+            want = 1.0 if m == 0 else fn(arg, TruncationControl.fixed(m))
+            assert fn(arg, TruncationControl.tolerance(eps, max_terms=10**15)) == want, (arg, eps)
+
+
+@pytest.mark.parametrize("fn, arg", [(bv.w_product, 5), (sf.digamma_series, 1.5)])
+def test_every_consumer_takes_a_budget_beyond_a_double(fn, arg):
+    large, huge = (TruncationControl.tolerance(1e-6, max_terms=cap) for cap in (10**308, 10**400))
+    assert fn(arg, huge) == fn(arg, large)
 
 
 @given(st.integers(-5, 40), st.integers(0, 40), st.integers(-60, 80),

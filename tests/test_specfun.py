@@ -60,11 +60,9 @@ def test_digamma_recurrence_exact(twice_x):
 
 
 def test_half_integer_domain():
-    assert sf.is_half_integer(2.5)
-    assert sf.is_half_integer(Fraction(7, 2))
-    assert not sf.is_half_integer(0.3)
-    assert not sf.is_half_integer(math.inf)
-    assert not sf.is_half_integer(math.nan)
+    # psi(m + 1/2) = -gamma - log 4 + 2 * sum_{j=1}^{m} 1/(2j-1), at m = 2 and 3
+    assert abs(sf.digamma_closed(2.5) - (8 / 3 - sf.EULER_GAMMA - sf.LOG4)) < 1e-15
+    assert abs(sf.digamma_closed(Fraction(7, 2)) - (46 / 15 - sf.EULER_GAMMA - sf.LOG4)) < 1e-15
     for bad in (0, -1, Fraction(-1, 2), 0.3, math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             sf.digamma_closed(bad)
@@ -128,6 +126,13 @@ def test_series_tiny_tolerance_exhausts_the_budget(eps):
     err = exc.value
     assert err.terms == 1000 and err.tail_bound == 1.5 / 1000
     assert err.partial == sf.digamma_series(1.5, TruncationControl.fixed(1000))
+
+
+def test_series_tolerance_needs_the_tail_bound_strictly_below_eps():
+    # 1.5/1000 equals eps, so 1000 terms do not meet it and 1001 exceed the budget
+    with pytest.raises(NonConvergenceError) as exc:
+        sf.digamma_series(1.5, TruncationControl.tolerance(1.5e-3, max_terms=1000))
+    assert exc.value.terms == 1000
 
 
 def test_series_refuses_an_argument_beyond_a_double():

@@ -21,9 +21,17 @@ each tree (the order of the trees alternates from one run to the next):
   - (5 runs) µs per n of each catalog family in bounds._columns at n_max
     5000, all of its orders together, as one `_columns` call per block;
     and µs per `eval_bound_mp` call of each bound of MP_IDS, over the 200 n
-    from 20000 on.
+    from 20000 on;
+  - (5 runs) the products in tolerance mode, each group timed as a whole:
+    `v_product` (eps 1e-6) and `w_product` (eps 1e-7) at n = 1..100,
+    `joint_factor_result` (eps 1e-6) on the grid a = i/20 (i = 1..19),
+    x = j/4 (j = 4..40), `digamma_series` (eps 1e-6) on the pool x = j/4
+    (j = 3..32), and `product_overtake_index` at n = 1..100, r_max 10^7;
+- the tier-1 suite (3 runs): the tree's own tests/ under pytest, run from
+  the directory above SRC; wall time and the passed and failed counts.
 
-Only the standard library is used here; the children import ballratio.
+Only the standard library is used here; the children import ballratio,
+and the tier-1 children pytest.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -102,19 +111,57 @@ for name in sys.argv[1].split(","):
 print(json.dumps(out))
 """
 
+PRODUCTS = r"""
+import json, time
+from ballratio import analysis, ballvol, gautschi, specfun
+from ballratio.truncation import TruncationControl
+
+tol = TruncationControl.tolerance
+ns = range(1, 101)
+joint = [(i / 20, j / 4) for i in range(1, 20) for j in range(4, 41)]
+runs = {
+    "v_product_s": lambda: [ballvol.v_product(n, tol(1e-6)) for n in ns],
+    "w_product_s": lambda: [ballvol.w_product(n, tol(1e-7)) for n in ns],
+    "joint_factor_result_s": lambda: [gautschi.joint_factor_result(x, a, tol(1e-6))
+                                      for a, x in joint],
+    "digamma_series_s": lambda: [specfun.digamma_series(j / 4, tol(1e-6)) for j in range(3, 33)],
+    "overtake_s": lambda: [analysis.product_overtake_index(n, 10**7) for n in ns],
+}
+for run in runs.values():  # warm-up
+    run()
+out = {}
+for key, run in runs.items():
+    t0 = time.perf_counter()
+    run()
+    out[key] = time.perf_counter() - t0
+print(json.dumps(out))
+"""
+
+TIER1 = r"""
+import sys
+import pytest
+
+code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "tests"])
+sys.exit(code not in (0, 1))  # 1: the suite ran, and some tests failed
+"""
+
 # (name, arguments after -c, runs per tree) of the in-process measurements
 IN_PROCESS = (
     ("split_5000", [SPLIT, "5000"], 7),
     ("split_100000", [SPLIT, "100000"], 3),
     ("parts", [PARTS, ",".join(MP_IDS)], 5),
+    ("products", [PRODUCTS], 5),
 )
+TIER1_RUNS = 3
 
 
 def _child(src: str, argv: list[str]) -> tuple[float, int, str]:
-    """Run python argv with src on the path: (wall s, peak RSS KiB, stdout)."""
+    """Run python argv with src on the path, in the directory above src:
+    (wall s, peak RSS KiB, stdout)."""
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+                            cwd=os.path.dirname(src))
     out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
@@ -158,6 +205,15 @@ def main() -> None:
             cell = raw[label].setdefault(name, {})
             for metric, x in json.loads(out).items():
                 cell.setdefault(metric, []).append(x)
+    for label, src in _alternating(trees, TIER1_RUNS):
+        wall, _, out = _child(os.path.abspath(src), ["-c", TIER1])
+        counts = dict.fromkeys(("passed", "failed"), 0)
+        for count, word in re.findall(r"(\d+) (passed|failed)", out.splitlines()[-1]):
+            counts[word] = int(count)
+        cell = raw[label].setdefault("tier1", {"wall_s": [], "passed": [], "failed": []})
+        cell["wall_s"].append(wall)
+        for word, count in counts.items():
+            cell[word].append(count)
     result = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
