@@ -79,17 +79,16 @@ def _cutoff(ctrl: TruncationControl, tail, guess, partial, what: str, least: int
     m >= least with tail(m) < eps, for tail decreasing in m. guess() claims
     that m (max_terms if it cannot be computed); a wrong claim costs a few
     more tail calls. A budget past the largest double is taken at that
-    double, where the bound still holds. If tail misses eps there, so does
-    every m: NonConvergenceError carries partial(max_terms), and its message
-    is what with max_terms in place of {}."""
+    double, cap, where the bound still holds. If tail misses eps at cap, so
+    does every m: NonConvergenceError carries terms=cap, tail(cap) and
+    partial(cap), and its message is what with cap in place of {}."""
     if ctrl.is_fixed:
         return ctrl.m
     eps, cap = ctrl.eps, min(ctrl.max_terms, _LARGEST_INT)
     bound = tail(cap)
     if not bound < eps:
-        raise NonConvergenceError(what.format(ctrl.max_terms) + f" for eps={eps}",
-                                  partial=partial(ctrl.max_terms),
-                                  tail_bound=bound, terms=ctrl.max_terms)
+        raise NonConvergenceError(what.format(cap) + f" for eps={eps}", partial=partial(cap),
+                                  tail_bound=bound, terms=cap)
     try:
         g = guess()
     except (OverflowError, ValueError, ZeroDivisionError):

@@ -11,18 +11,17 @@ functions have closed forms built from finite rational sums:
 digamma_parts returns psi's sum exactly, by binary splitting; no
 evaluation path uses it. Evaluation takes the int t = 2x and reads two
 integer kernels in units of 2^-128, which every reader, double or mpmath,
-rounds once:
+rounds once. Both are walked over t in integers, lazily up to the largest
+t asked for, each into a table of its own of fixed-width records (3.4 MB
+at the cap t = 2 * MAX_DIMENSION, above which no t is accepted), and both
+are correctly rounded to nearest:
 
-- _psi_rational(t), psi's rational part H_{m-1} or 2 H_{2m} - H_m rounded
-  to nearest, so gamma and log 4 cancel exactly in differences. It is walked
-  over t by psi(x) = psi(x-1) + 1/(x-1) in integers, lazily up to the
-  largest t asked for, and kept as fixed-width records of one byte string:
-  3.4 MB at the cap t = 2 * MAX_DIMENSION, above which no t is accepted;
-- _trigamma(t), psi' itself (recurrence, then the asymptotic series), not
-  memoised: pi^2/6 minus the sum would lose about log10(x) digits in
-  double. Its error is within 2^-115 of the value plus 64 units (at most
-  197, at t = 64). That bound is absolute, so trigamma_closed refuses
-  x > MAX_DIMENSION too: at x = 1e40 it would return a negative psi'.
+- _psi_rational(t), psi's rational part H_{m-1} or 2 H_{2m} - H_m, so gamma
+  and log 4 cancel exactly in differences; walked by psi(x) = psi(x-1) +
+  1/(x-1) from 0 at x = 1/2 and x = 1;
+- _trigamma(t), psi' itself, walked by psi'(x) = psi'(x-1) - 1/(x-1)^2 from
+  pi^2/2 and pi^2/6: pi^2/6 minus the sum would lose about log10(x) digits
+  in double, but not at 2^-192.
 
 The minorant inequalities are decided in mpmath, apart from both kernels.
 The generic series of psi(x+1) is kept as an independent cross-check and
@@ -48,11 +47,6 @@ LOG4 = math.log(4.0)
 ALPHA = 2.0 - EULER_GAMMA - LOG4  # = psi(3/2) = psi(-1/2)
 
 _ONE = 1 << 128  # the fixed-point scale of psi and psi' values
-_ASYMPTOTIC_X = 32
-# B_2..B_26 as (p * 2^(2k+1) in units of 2^-128, q): the numerators of the
-# series terms B_2k / x^(2k+1) = 2^(2k+1) B_2k / t^(2k+1), scaled once here
-_BERNOULLI = tuple((_ONE * p << (2 * k + 1), q)
-                   for k in range(1, 14) for p, q in [mpmath.bernfrac(2 * k)])
 
 
 def _twice(x) -> int:
@@ -97,47 +91,72 @@ def digamma_parts(x) -> tuple[Fraction, int]:
     return 2 * _reciprocal_sum(range(1, t, 2)), 1
 
 
-# The walk sums 2/(t-2) floored in units of 2^-192: under 2^-174 of error
-# at the cap, and the tests check that floor and ceiling sums round alike at
-# every t up to it. Each value is below 16 * 2^128, so 17 bytes hold it.
+# Each walk adds one term per t in units of 2^-192, floored: under 2^-174
+# of error at the cap, and the tests check that floor and ceiling walks round
+# alike at every t up to it. Each value is below 16 * 2^128, so 17 bytes
+# hold it.
 _GUARD = 64
 _RECORD = 17
-_BLOCK = 4096  # arguments per extension, so a sweep copies the table rarely
+_BLOCK = 4096  # arguments per extension, so a sweep copies a table rarely
 _T_MAX = 2 * MAX_DIMENSION
-# (sums, table): table holds _psi_rational(t) for t = 0, 1, 2, ... as
-# little-endian records (t = 0 unused), and sums[p] is the walk's sum at the
-# last t of parity p in it, plus half a unit of 2^-128 so that a shift rounds
-# it to nearest. Each extension is built in locals and published by one
-# assignment, so a reader never sees a half-written record.
-_START = ((1 << (_GUARD - 1),) * 2, bytes(3 * _RECORD))
-_walk = _START
 _from_bytes = int.from_bytes  # bound once: the lookup costs more than the call
 
 
-def _extend(t: int) -> bytearray:
-    """Walk the table on to t, rounded up to a whole block, and return it."""
-    global _walk
+def _start(even: int, odd: int) -> tuple[tuple[int, int], bytes]:
+    """The state (sums, table) of a walk whose values at x = 1 and x = 1/2
+    are even and odd units of 2^-192. table holds the values at t = 0, 1,
+    2, ... as little-endian records (t = 0 unused), and sums[p] is the walk's
+    sum at the last t of parity p in it, plus half a unit of 2^-128 so that
+    a shift rounds it to nearest."""
+    sums = (even + (1 << _GUARD - 1), odd + (1 << _GUARD - 1))
+    return sums, b"".join((v >> _GUARD).to_bytes(_RECORD, "little") for v in (0, sums[1], sums[0]))
+
+
+def _extend(walk: tuple, step: Callable[[int], int], t: int) -> tuple:
+    """The state walk, walked on to t (rounded up to a whole block) by adding
+    step(d) at t = d + 2. It is built in locals, so that the caller publishes
+    it by one assignment and a reader never sees a half-written record."""
     if t > _T_MAX:
-        raise DomainError(f"psi at a half-integer needs x <= {MAX_DIMENSION}, got x = {t}/2")
-    sums, table = _walk
+        raise DomainError(f"a half-integer argument needs x <= {MAX_DIMENSION}, got x = {t}/2")
+    sums, table = walk
     sums, table = list(sums), bytearray(table)
     end = min((t // _BLOCK + 1) * _BLOCK, _T_MAX + 1)
-    two = 2 << (_GUARD + 128)
     for d in range(len(table) // _RECORD - 2, end - 2):
-        # psi(x) = psi(x-1) + 1/(x-1), and 1/(x-1) = 2/d at x = (d+2)/2
-        sums[d & 1] += two // d
+        sums[d & 1] += step(d)
         table += (sums[d & 1] >> _GUARD).to_bytes(_RECORD, "little")
-    _walk = (tuple(sums), table)
-    return table
+    return tuple(sums), table
+
+
+_TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
+with mpmath.workprec(256):
+    _PI2 = int(mpmath.pi ** 2 * 2 ** (_GUARD + 128))  # pi^2 in units of 2^-192
+_START = _start(0, 0)
+_TRIGAMMA_START = _start(_PI2 // 6, _PI2 // 2)
+_walk, _trigamma_walk = _START, _TRIGAMMA_START  # the published states
 
 
 def _psi_rational(t: int) -> int:
     """The rational part of psi(t/2) (see digamma_parts) in units of 2^-128,
     rounded to nearest."""
+    global _walk
     o = t * _RECORD
     table = _walk[1]
     if o >= len(table):
-        table = _extend(t)
+        # psi(x) = psi(x-1) + 1/(x-1), and 1/(x-1) = 2/d at x = (d+2)/2
+        _walk = walk = _extend(_walk, lambda d: _TWO // d, t)
+        table = walk[1]
+    return _from_bytes(table[o:o + _RECORD], "little")
+
+
+def _trigamma(t: int) -> int:
+    """psi'(t/2) in units of 2^-128, rounded to nearest."""
+    global _trigamma_walk
+    o = t * _RECORD
+    table = _trigamma_walk[1]
+    if o >= len(table):
+        # psi'(x) = psi'(x-1) - 1/(x-1)^2, and 1/(x-1)^2 = 4/d^2 at x = (d+2)/2
+        _trigamma_walk = walk = _extend(_trigamma_walk, lambda d: -(_FOUR // (d * d)), t)
+        table = walk[1]
     return _from_bytes(table[o:o + _RECORD], "little")
 
 
@@ -169,30 +188,10 @@ def digamma_diff(u, v) -> float:
     return _psi_diff(_twice(u), _twice(v))
 
 
-def _trigamma(t: int) -> int:
-    """psi'(t/2) in units of 2^-128: the recurrence psi'(x) = psi'(x+1) +
-    1/x^2 up to x >= _ASYMPTOTIC_X, then the asymptotic series 1/x +
-    1/(2x^2) + sum_k B_2k / x^(2k+1) (DLMF 5.15.8) through B_26, whose first
-    omitted term is below 2^-115 of the value there; each term is floored."""
-    s = 0
-    while t < 2 * _ASYMPTOTIC_X:
-        s += (_ONE << 2) // (t * t)  # 1/x^2 = 4/t^2
-        t += 2
-    tt = t * t
-    s += (_ONE << 1) // t + (_ONE << 1) // tt  # 1/x + 1/(2x^2)
-    power = t
-    for p, q in _BERNOULLI:
-        power *= tt  # t^(2k+1)
-        s += p // (q * power)
-    return s
-
-
 def trigamma_closed(x) -> float:
-    """psi' at a half-integer 1/2 <= x <= MAX_DIMENSION, to one rounding."""
-    t = _twice(x)
-    if t > _T_MAX:
-        raise DomainError(f"psi' at a half-integer needs x <= {MAX_DIMENSION}, got x = {t}/2")
-    return _trigamma(t) / _ONE
+    """psi' at a half-integer 1/2 <= x <= MAX_DIMENSION: its correctly rounded
+    value in units of 2^-128, rounded once to a double."""
+    return _trigamma(_twice(x)) / _ONE
 
 
 def _series_partial(x: float, terms: int) -> float:

@@ -2,6 +2,7 @@
 tolerance-mode stopping, and the assembled gamma quotient."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -157,6 +158,27 @@ def test_tolerance_mode_takes_the_least_m_with_tail_below_eps(fn, tail, least, a
 def test_every_consumer_takes_a_budget_beyond_a_double(fn, arg):
     large, huge = (TruncationControl.tolerance(1e-6, max_terms=cap) for cap in (10**308, 10**400))
     assert fn(arg, huge) == fn(arg, large)
+
+
+# (consumer, its tail bound at m); joint_factor reads joint_factor_result
+_BUDGET_CASES = [
+    (lambda c: ga.joint_factor(3.0, 0.5, c), lambda m: ga._tail_bound(3.0, 0.5, m)),
+    (lambda c: bv.v_product(3, c), lambda m: ga._tail_bound(2.0, 0.5, m)),
+    (lambda c: bv.w_product(3, c), lambda m: 0.25 / (m + 2.0)),
+    (lambda c: sf.digamma_series(1.5, c), lambda m: 1.5 / m),
+]
+
+
+@pytest.mark.parametrize("fn, tail", _BUDGET_CASES)
+def test_an_unmet_budget_beyond_a_double_reports_one_m(fn, tail):
+    # the budget is taken at the largest double, and the error's terms, tail
+    # bound and partial all describe that m
+    cap = int(sys.float_info.max)
+    with pytest.raises(NonConvergenceError) as exc:
+        fn(TruncationControl.tolerance(1e-320, max_terms=10**400))
+    err = exc.value
+    assert err.terms == cap and err.tail_bound == tail(cap) >= 1e-320
+    assert err.partial == fn(TruncationControl.fixed(cap))
 
 
 @given(st.integers(-5, 40), st.integers(0, 40), st.integers(-60, 80),

@@ -1,4 +1,4 @@
-"""Half-integer digamma/trigamma closed forms, the integer walk behind psi,
+"""Half-integer digamma/trigamma closed forms, the integer walks behind them,
 the shifted series, and the two minorant inequalities."""
 
 import hashlib
@@ -281,8 +281,8 @@ def test_psi_gamma_is_the_difference_from_psi_one(monkeypatch):
     assert reads == [1001]
 
 
-def _cold(monkeypatch):
-    monkeypatch.setattr(sf, "_walk", sf._START)
+def _cold(monkeypatch, walk="_walk", start=sf._START):
+    monkeypatch.setattr(sf, walk, start)
 
 
 def test_psi_rational_rounds_the_exact_sum_to_nearest():
@@ -311,17 +311,18 @@ def test_psi_rational_ignores_call_order(monkeypatch):
     assert jumped == ascending and ascending[-1] == far
 
 
-def test_concurrent_walks_agree(monkeypatch):
-    # readers and extenders race on the published (sums, table) state
-    want = [sf._psi_rational(t) for t in range(1, 60_001)]
-    _cold(monkeypatch)
+def _race(monkeypatch, read, walk, start):
+    """Readers and extenders race on the published (sums, table) state walk
+    of the reader read, from start; every read must see the walked value."""
+    want = [read(t) for t in range(1, 60_001)]
+    _cold(monkeypatch, walk, start)
     bad = []
 
     def worker(seed):
         rng = random.Random(seed)
         for _ in range(300):
             t = rng.randrange(1, 60_001)
-            if sf._psi_rational(t) != want[t - 1]:
+            if read(t) != want[t - 1]:
                 bad.append(t)
 
     switch = sys.getswitchinterval()
@@ -334,7 +335,12 @@ def test_concurrent_walks_agree(monkeypatch):
             th.join(timeout=60)
     finally:
         sys.setswitchinterval(switch)
-    assert not any(th.is_alive() for th in threads) and bad == []
+    assert not any(th.is_alive() for th in threads) and bad == [], walk
+
+
+def test_concurrent_walks_agree(monkeypatch):
+    _race(monkeypatch, sf._psi_rational, "_walk", sf._START)
+    _race(monkeypatch, sf._trigamma, "_trigamma_walk", sf._TRIGAMMA_START)
 
 
 def test_digamma_doubles_are_pinned():
@@ -342,6 +348,32 @@ def test_digamma_doubles_are_pinned():
     for t in range(1, 200_001, 7):
         h.update(struct.pack("<d", sf.digamma_closed(Fraction(t, 2))))
     assert h.hexdigest() == "72e5c509d22452c1adf6c663bd37d41a13e2f87033bf21cf0c7f712c367aceb1"
+
+
+def test_trigamma_doubles_are_pinned():
+    h = hashlib.sha256()
+    for t in range(1, 200_001, 7):
+        h.update(struct.pack("<d", sf.trigamma_closed(Fraction(t, 2))))
+    assert h.hexdigest() == "9b07c28b0a833c7ad62d5ce302eb8332e4208c128e16cbf597194178a8fab6b2"
+
+
+def test_trigamma_is_correctly_rounded_up_to_the_cap():
+    # floor and ceiling walks from pi^2/6 and pi^2/2 (x = 1 and 1/2) bracket
+    # psi' in units of 2^-192; both must round to the kernel's value, so the
+    # exact psi', which lies between, rounds to it too
+    import mpmath
+
+    with mpmath.workprec(300):
+        starts = [mpmath.pi ** 2 * 2**192 / k for k in (6, 2)]
+        lo = [int(mpmath.floor(s)) for s in starts]
+        hi = [int(mpmath.ceil(s)) for s in starts]
+    four = 4 << 192
+    for t in range(1, 2 * bv.MAX_DIMENSION + 1):
+        if t > 2:
+            lo[t % 2] -= -(-four // (t - 2) ** 2)
+            hi[t % 2] -= four // (t - 2) ** 2
+        want = (lo[t % 2] + (1 << 63)) >> 64
+        assert sf._trigamma(t) == want == (hi[t % 2] + (1 << 63)) >> 64, t
 
 
 def test_digamma_closed_stops_at_the_cap():
@@ -366,6 +398,17 @@ def test_cold_walk_to_the_cap_stays_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20  # 17 bytes per argument: about 3.4 MB
+
+
+def test_cold_trigamma_walk_to_the_cap_stays_small(monkeypatch):
+    _cold(monkeypatch, "_trigamma_walk", sf._TRIGAMMA_START)
+    tracemalloc.start()
+    try:
+        sf._trigamma(2 * bv.MAX_DIMENSION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_walk_needs_no_mpmath_harmonic(monkeypatch):

@@ -28,7 +28,11 @@ each tree (the order of the trees alternates from one run to the next):
     x = j/4 (j = 4..40), `digamma_series` (eps 1e-6) on the pool x = j/4
     (j = 3..32), and `product_overtake_index` at n = 1..100, r_max 10^7;
 - the tier-1 suite (3 runs): the tree's own tests/ under pytest, run from
-  the directory above SRC; wall time and the passed and failed counts.
+  the directory above SRC; wall time and the passed and failed counts;
+- (1 run, as the counts are deterministic) the sidedness records of
+  `analysis._evaluate` at n_max 100000 that no double resolves, per bound
+  and in total: the "ok"s given only by the slack TIE_REL (gap <= 0), and
+  the records with |gap| <= k ulp of the oracle double for k in ULPS.
 
 Only the standard library is used here; the children import ballratio,
 and the tier-1 children pytest.
@@ -137,6 +141,28 @@ for key, run in runs.items():
 print(json.dumps(out))
 """
 
+ULPS = (1, 2, 4, 8)
+TIES = r"""
+import json, math, sys
+from ballratio import analysis, bounds
+
+ids = [s.id for s in bounds.catalog()]
+names = [f"{bid.target}:{bid.label()}" for bid in ids]
+ks = json.loads(sys.argv[2])
+counts = {key: dict.fromkeys(names, 0)
+          for key in ["slack_only", *(f"within_{k}_ulp" for k in ks)]}
+for _, columns in analysis._evaluate(ids, int(sys.argv[1])):
+    for i, _, _, exact, gaps, _, ok in columns:
+        counts["slack_only"][names[i]] += sum(o and g <= 0 for o, g in zip(ok, gaps))
+        ulps = [abs(g) / math.ulp(e) for e, g in zip(exact, gaps)]
+        for k in ks:
+            counts[f"within_{k}_ulp"][names[i]] += sum(u <= k for u in ulps)
+for per_bound in counts.values():
+    per_bound["total"] = sum(per_bound.values())
+print(json.dumps(counts))
+"""
+TIES_N_MAX = 100_000
+
 TIER1 = r"""
 import sys
 import pytest
@@ -214,11 +240,14 @@ def main() -> None:
         cell["wall_s"].append(wall)
         for word, count in counts.items():
             cell[word].append(count)
+    ties = {label: json.loads(_child(os.path.abspath(src), [
+        "-c", TIES, str(TIES_N_MAX), json.dumps(ULPS)])[2]) for label, src in trees}
     result = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
-        "trees": {label: {name: {metric: _summary(xs) for metric, xs in cell.items()}
-                          for name, cell in cells.items()}
+        "trees": {label: {**{name: {metric: _summary(xs) for metric, xs in cell.items()}
+                             for name, cell in cells.items()},
+                          f"unresolved_{TIES_N_MAX}": ties[label]}
                   for label, cells in raw.items()},
     }
     with open(args.out, "w") as fh:
