@@ -9,7 +9,8 @@ from one pass of ballvol.ratio_walk, which also decides Klein-Rota's
 w_n < 1 + 1/n at every n in integers; klein_rota_check reads the same
 walk. The sweep then walks n in blocks of bounds._BLOCK: in each
 block, every bound comes as one column of bounds._columns, which computes
-each truncate and psi term once per n for all of them, and one generator
+each truncate and psi term once per n for all of them (the psi and psi'
+kernels walked once over the sweep, bounds._kernels), and one generator
 decides sidedness column by column, with the tie scale taken once per n
 and target; the elementwise work runs in map and sum, not in a Python loop
 per (bound, n). `verify_bounds` keeps one record per (bound, n), bound by
@@ -32,7 +33,7 @@ from itertools import repeat
 import mpmath
 
 from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
-from .bounds import BoundId, _blocks, _columns, _rows, eval_bound_mp
+from .bounds import BoundId, _blocks, _columns, _kernels, _rows, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _double, _dps, _least, _log_partial
 
@@ -103,6 +104,7 @@ def _evaluate(ids: list[BoundId], n_max: int):
     lower = [bid.side == "lower" for bid in ids]
     targets = [bid.target for bid in ids]
     min_ns = [bid.min_n for bid in ids]
+    kernels = _kernels(range(1, n_max + 1))
     for block in _blocks(ratio_walk(n_max)):
         ns, v, w, klein = zip(*block)
         exact = {"v": v, "w": w}
@@ -117,7 +119,7 @@ def _evaluate(ids: list[BoundId], n_max: int):
             ties = map(operator.mul, repeat(-TIE_REL), scale)
             return (i, ns[0] + skip, bv, ev, gaps, map(operator.truediv, gaps, scale),
                     map(operator.gt, gaps, ties))
-        yield all(klein), (decided(i, bv) for i, bv in _columns(ids, ns))
+        yield all(klein), (decided(i, bv) for i, bv in _columns(ids, ns, kernels))
 
 
 def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:

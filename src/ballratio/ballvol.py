@@ -89,6 +89,26 @@ def _check_dimension(n: int, least: int, name: str) -> None:
         raise DomainError(f"{name} needs n <= {MAX_DIMENSION}, got {n}")
 
 
+def _leading(k: int) -> tuple[int, int]:
+    """(a, s) with a 2^s <= k < (a + 1) 2^s, a the leading 192 bits of k > 0."""
+    s = max(k.bit_length() - 192, 0)
+    return k >> s, s
+
+
+def _quotient(num: int, den: int):
+    """mpf(num) / den at working precision, read from the leading bits of num
+    and den. Rounding is monotone, so when the leading bits a of num and a + 1
+    round alike, so does num; and when num's rounded value over the leading
+    bits b of den and over b + 1 rounds alike, so does its quotient by den.
+    Else, all but never, both integers are read whole."""
+    (a, sa), (b, sb) = _leading(num), _leading(den)
+    top = mpmath.ldexp(a, sa - sb)
+    x = top / b
+    if (sa and top != mpmath.ldexp(a + 1, sa - sb)) or (sb and x != top / (b + 1)):
+        return mpmath.mpf(num) / den
+    return x
+
+
 @dataclass(frozen=True)
 class ExactBallValue:
     """A positive rational mantissa times an integer power of pi."""
@@ -104,7 +124,7 @@ class ExactBallValue:
         # else the two float factors can overflow/underflow pairwise (e.g.
         # Omega_200); man / 2^-exp is correctly rounded, subnormals included
         with mpmath.workprec(128):
-            x = mpmath.mpf(self.mantissa.numerator) / self.mantissa.denominator
+            x = _quotient(self.mantissa.numerator, self.mantissa.denominator)
             man, exp = (x * mpmath.pi**p).man_exp
         return man / (1 << -exp) if exp < 0 else float(man << exp)
 

@@ -14,8 +14,9 @@ each given as the int t = 2x. Three backends run the formulas:
 
 - FLOAT (eval_bound): doubles at one n. Each pair is rounded by a single
   correctly rounded division, and psi/psi' come from specfun's t-keyed
-  integer kernels, values in units of 2^-128 rounded once, arranged so that
-  gamma and log-4 contributions cancel exactly where they should.
+  integer kernels, each read at its point, values in units of 2^-128 rounded
+  once, arranged so that gamma and log-4 contributions cancel exactly where
+  they should.
 - the shared column backend (_columns, and _rows and verify on top of it):
   FLOAT on a block of n at once, N a column of doubles and n one of ints.
   A column applies + - * / ** elementwise through the operator builtins
@@ -29,10 +30,13 @@ each given as the int t = 2x. Three backends run the formulas:
   order instead of starting again; each psi function keeps its last
   column. _columns asks in ascending m, so in each block every factor,
   summand and psi value is computed once per n, and only if some bound
-  reads it.
+  reads it. The kernel values come from the pass's _Kernel pair: a sweep,
+  or a dense list of n, walks each kernel once over the pass, and a sparse
+  list reads each t at its point (specfun).
 - MP (eval_bound_mp): FLOAT at 30 digits, for near-tie adjudication: pi,
   sqrt, exp and the division are mpmath's, and psi/psi' read the same
-  integer kernels, each value rounded once at working precision.
+  integer kernels at their points, each value rounded once at working
+  precision.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
-from .specfun import _ONE, _psi_diff, _psi_gamma, _psi_rational, _trigamma
+from .specfun import (_ONE, _SERIES_T, _WALK_RATIO, _psi_diff, _psi_gamma, _psi_rational,
+                      _psi_walked, _trigamma, _trigamma_walked)
 
 _MP_DPS = 30  # digits of eval_bound_mp
 # Largest truncation order m. The truncates' integers grow with m, so the
@@ -106,6 +111,16 @@ def _psi_slope(pi, psi_gamma: Callable) -> Callable:
     return lambda n: pi * pi / 12 if n == 1 else psi_gamma(n + 1) / (n - 1)
 
 
+# FLOAT's functions of the kernels, by name: (k, make), make(read) the
+# function reading kernel k, psi's rational part (0) or psi' (1), at t/2 as
+# read(t) in units of 2^-128
+_KERNEL_FUNCTIONS = {
+    "psi_slope": (0, lambda psi: _psi_slope(math.pi, lambda t: _psi_gamma(t, psi))),
+    "psi_diff": (0, lambda psi: lambda tu, tv: _psi_diff(tu, tv, psi)),
+    "trigamma": (1, lambda trigamma: lambda t: trigamma(t) / _ONE),
+}
+
+
 # psi_slope at the int n; psi(u) - psi(v) and psi'(x), each half-integer
 # given as the int t = 2x; and the truncates, each as B.f(n, m) -> the pair
 # of order m
@@ -114,9 +129,7 @@ FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     exp=math.exp,
     ratio=operator.truediv,  # int true division rounds once, correctly
-    psi_slope=_psi_slope(math.pi, _psi_gamma),
-    psi_diff=_psi_diff,
-    trigamma=lambda t: _trigamma(t) / _ONE,
+    **{name: make((_psi_rational, _trigamma)[k]) for name, (k, make) in _KERNEL_FUNCTIONS.items()},
     f=_f_m,
     sigma=_sigma,
     s=_s,
@@ -176,12 +189,54 @@ _COLUMNS = SimpleNamespace(**{
 })
 
 
-def _sharing() -> SimpleNamespace:
+class _Kernel(dict):
+    """One of specfun's kernels, _psi_rational or _trigamma, over one pass of
+    blocks of ascending n: its values by t.
+
+    With walk, an iterator over the kernel at t = 1, 2, ..., each block steps
+    it on to the largest t the block reads, so the pass walks each t once.
+    The values below the block's least t are then dropped, but for those at
+    t <= _SERIES_T, which a read alone would walk to again (upper-h reads psi
+    at t = 3). Without walk, and for any t not held, a t is read alone by
+    point, specfun's reader, and kept."""
+
+    def __init__(self, point: Callable[[int], int], walk: Iterator[int] | None = None):
+        self.point, self.walk, self.lo, self.t = point, walk, 1, 0  # t: the last walked
+
+    def __missing__(self, t: int) -> int:
+        self[t] = value = self.point(t)
+        return value
+
+    def read(self, lo: int, hi: int) -> Callable[[int], int]:
+        """The reader of a block that reads t = lo..hi, and a few constants."""
+        if self.walk is not None and hi > self.t:
+            for t in range(max(self.lo, _SERIES_T + 1), min(lo, self.t + 1)):
+                self.pop(t, None)
+            if lo > self.t + 1:
+                next(islice(self.walk, lo - self.t - 2, None))  # steps to t = lo - 1
+            self.update(zip(range(max(lo, self.t + 1), hi + 1), self.walk))
+            self.lo, self.t = lo, hi
+        return self.__getitem__
+
+
+def _kernels(ns: Sequence[int] = ()) -> tuple[_Kernel, _Kernel]:
+    """psi's and psi''s _Kernel for a pass over ns: walked when the largest n
+    is at most _WALK_RATIO times the count of ns, else read at each t alone."""
+    walk = bool(ns) and max(ns) <= _WALK_RATIO * len(ns)
+    return (_Kernel(_psi_rational, _psi_walked() if walk else None),
+            _Kernel(_trigamma, _trigamma_walked() if walk else None))
+
+
+def _sharing(kernels: tuple[_Kernel, _Kernel] | None = None,
+             lo: int = 1, hi: int = 1) -> SimpleNamespace:
     """The column backend for the bounds of one block, which all run on the
     same n column. Each truncate keeps the last pair of columns it gave, with
     its order, and goes on from it when asked for a higher order; a lower
     order starts again. Each psi function keeps its last arguments and
-    column. Nothing is kept beyond that one entry each."""
+    column. Nothing is kept beyond that one entry each. psi and psi' come
+    from kernels, the pass's (by default, each t read alone), whose formulas
+    read them at t = n and n + 1, so in lo..hi, the block's least n to its
+    largest plus one."""
     def truncate(loop):
         k, p, q = 0, 1, 1  # the last order and its pair; 0 when none
 
@@ -203,10 +258,17 @@ def _sharing() -> SimpleNamespace:
             return value
         return get
 
+    def reading(name):
+        # the kernel function name of FLOAT, on the block's window of its kernel
+        k, make = _KERNEL_FUNCTIONS[name]
+        return lambda *args: _each(make(kernels[k].read(lo, hi)))(*args)
+
+    kernels = kernels or _kernels()
     return SimpleNamespace(**{
         **vars(_COLUMNS),
         **{name: truncate(getattr(_COLUMNS, name)) for name in ("f", "sigma", "s", "w")},
-        **{name: psi(getattr(_COLUMNS, name)) for name in ("psi_slope", "psi_diff")},
+        **{name: psi(reading(name)) for name in ("psi_slope", "psi_diff")},
+        "trigamma": reading("trigamma"),
     })
 
 
@@ -435,32 +497,37 @@ def _blocks(items: Iterable) -> Iterator[list]:
         yield block
 
 
-def _columns(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[tuple[int, list[float]]]:
+def _columns(ids: Sequence[BoundId], ns: Sequence[int],
+             kernels: tuple[_Kernel, _Kernel] | None = None) -> Iterator[tuple[int, list[float]]]:
     """For each bound of ids, as (index into ids, column): its formula at
     every n of ns, in the order of ns. From the bound's min_n on these are its
     eval_bound doubles; below it, finite values that the readers mask. The
     bounds run on one _sharing backend in ascending m, so each truncate is
-    only ever extended. An n outside [1, MAX_DIMENSION] raises DomainError
-    before any bound is evaluated."""
-    if ns and not 1 <= min(ns) <= max(ns) <= MAX_DIMENSION:
-        raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {min(ns)}..{max(ns)}")
+    only ever extended; psi and psi' come from kernels, the pass's that ns
+    is a block of (by default, _kernels(ns)). An n outside [1, MAX_DIMENSION]
+    raises DomainError before any bound is evaluated."""
+    lo, hi = (min(ns), max(ns)) if ns else (1, 0)
+    if ns and not 1 <= lo <= hi <= MAX_DIMENSION:
+        raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {lo}..{hi}")
     plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula)
                   for i, bid in enumerate(ids))
-    B = _sharing()
+    B = _sharing(kernels or _kernels(ns), lo, hi + 1)
     n = _Column(ns)
     N = _Column(map(float, ns))
     for m, i, formula in plan:
         yield i, formula(B, N, n, m)
 
 
-def _rows(ids: Sequence[BoundId], ns: Iterable[int]) -> Iterator[list[float | None]]:
+def _rows(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[list[float | None]]:
     """_columns read per n: for each n of ns, the eval_bound double of every
-    bound of ids at n, None for a bound below its min_n."""
+    bound of ids at n, None for a bound below its min_n; the blocks of ns
+    make one pass, which walks the kernels only where ns ascends."""
     min_ns = [bid.min_n for bid in ids]
+    kernels = _kernels(ns)
     for block in _blocks(ns):
         least = min(block)
         columns: list = [None] * len(ids)
-        for i, column in _columns(ids, block):
+        for i, column in _columns(ids, block, kernels):
             if least < min_ns[i]:
                 column = [v if k >= min_ns[i] else None for k, v in zip(block, column)]
             columns[i] = column

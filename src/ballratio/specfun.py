@@ -9,19 +9,35 @@ functions have closed forms built from finite rational sums:
     psi'(m+1/2)  = pi^2/2 - 4 * sum_{j=1}^{m} 1/(2j-1)^2
 
 digamma_parts returns psi's sum exactly, by binary splitting; no
-evaluation path uses it. Evaluation takes the int t = 2x and reads two
-integer kernels in units of 2^-128, which every reader, double or mpmath,
-rounds once. Both are walked over t in integers, lazily up to the largest
-t asked for, each into a table of its own of fixed-width records (3.4 MB
-at the cap t = 2 * MAX_DIMENSION, above which no t is accepted), and both
-are correctly rounded to nearest:
+evaluation path uses it. Evaluation takes the int t = 2x, up to the cap
+t = 2 * MAX_DIMENSION, and reads two integer kernels in units of 2^-128,
+which every reader, double or mpmath, rounds once. Both are correctly
+rounded to nearest and keep no table or state:
 
 - _psi_rational(t), psi's rational part H_{m-1} or 2 H_{2m} - H_m, so gamma
-  and log 4 cancel exactly in differences; walked by psi(x) = psi(x-1) +
-  1/(x-1) from 0 at x = 1/2 and x = 1;
-- _trigamma(t), psi' itself, walked by psi'(x) = psi'(x-1) - 1/(x-1)^2 from
-  pi^2/2 and pi^2/6: pi^2/6 minus the sum would lose about log10(x) digits
-  in double, but not at 2^-192.
+  and log 4 cancel exactly in differences;
+- _trigamma(t), psi' itself.
+
+Each is read in one of two ways:
+
+- walked over t = 1, 2, ... in integers, by psi(x) = psi(x-1) + 1/(x-1)
+  from 0 at x = 1/2 and x = 1, and by psi'(x) = psi'(x-1) - 1/(x-1)^2 from
+  pi^2/2 and pi^2/6 (pi^2/6 minus the sum would lose about log10(x) digits
+  in double, but not at 2^-192). A sweep, and any list of n whose largest is
+  at most _WALK_RATIO times their count, walks each kernel once per pass,
+  carrying only its two parity sums (bounds._kernels);
+- at a point, for every other read: the asymptotic series (DLMF 5.11.2,
+  5.15.8) in integers of 2^-256, or below t = 257, where it would need more
+  terms, a walk.
+
+Both give the same values. The tests walk floor and ceiling bounds of each
+kernel at every t to the cap: they round alike, and the floor never sits on
+a rounding boundary, so each true value lies at least 2^-192 from one and
+anything within 2^-193 of it rounds as the walk does. The series is within
+2^-199: it stops below 2^-200, its first omitted term bounds the rest (each
+series envelops its function for x > 0), and its integer roundings add a
+few units of 2^-256. The premise is that mpmath's log(t), gamma and log 2
+at 288 bits are good to 2^-256.
 
 The minorant inequalities are decided in mpmath, apart from both kernels.
 The generic series of psi(x+1) is kept as an independent cross-check and
@@ -32,10 +48,12 @@ psi(x+1) - psi(K+x+1) + psi(K+1), so any K costs the same.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
+from mpmath.libmp import from_int, mpf_log, to_fixed
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
@@ -91,84 +109,102 @@ def digamma_parts(x) -> tuple[Fraction, int]:
     return 2 * _reciprocal_sum(range(1, t, 2)), 1
 
 
-# Each walk adds one term per t in units of 2^-192, floored: under 2^-174
-# of error at the cap, and the tests check that floor and ceiling walks round
-# alike at every t up to it. Each value is below 16 * 2^128, so 17 bytes
-# hold it.
-_GUARD = 64
-_RECORD = 17
-_BLOCK = 4096  # arguments per extension, so a sweep copies a table rarely
 _T_MAX = 2 * MAX_DIMENSION
-_from_bytes = int.from_bytes  # bound once: the lookup costs more than the call
+# A walk adds one term per t in units of 2^-192, floored: under 2^-174 of
+# error at the cap. A read of one t walks there up to _SERIES_T, and else
+# sums a series in units of 2^-_P to its first term below 2^-_STOP (17 terms
+# at t = 257). A walk step costs about 0.25 us and a point read 3-20 us, so
+# reads of many t walk once when their largest t is at most _WALK_RATIO times
+# their count (bounds._kernels).
+_GUARD, _P, _STOP, _SERIES_T, _WALK_RATIO = 64, 256, 200, 256, 64
+_TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
+with mpmath.workprec(_P + 32):
+    _PI2 = int(mpmath.pi ** 2 * 2 ** (_GUARD + 128))  # pi^2 in units of 2^-192
+    _EULER, _LN2 = (int(c * 2 ** _P) for c in (mpmath.euler, mpmath.ln2))
+# (numerator, denominator) of B_2k and of -B_2k / (2k) for k = 1..20: the
+# coefficients of the series of psi' and of psi
+_TRIGAMMA_SERIES = tuple(tuple(map(int, mpmath.bernfrac(2 * k))) for k in range(1, 21))
+_PSI_SERIES = tuple((-num, 2 * k * den) for k, (num, den) in enumerate(_TRIGAMMA_SERIES, 1))
 
 
-def _start(even: int, odd: int) -> tuple[tuple[int, int], bytes]:
-    """The state (sums, table) of a walk whose values at x = 1 and x = 1/2
-    are even and odd units of 2^-192. table holds the values at t = 0, 1,
-    2, ... as little-endian records (t = 0 unused), and sums[p] is the walk's
-    sum at the last t of parity p in it, plus half a unit of 2^-128 so that
-    a shift rounds it to nearest."""
-    sums = (even + (1 << _GUARD - 1), odd + (1 << _GUARD - 1))
-    return sums, b"".join((v >> _GUARD).to_bytes(_RECORD, "little") for v in (0, sums[1], sums[0]))
+def _walked(step: Callable[[int], int], even: int, odd: int) -> Iterator[int]:
+    """A kernel at t = 1, 2, ... to the cap in units of 2^-128, rounded to
+    nearest: walked from odd and even, its values at t = 1 and 2 in units of
+    2^-192, by adding step(d) at t = d + 2. Only the two parity sums are
+    kept, each plus half a unit of 2^-128, so that a shift rounds it."""
+    odd += 1 << _GUARD - 1
+    even += 1 << _GUARD - 1
+    yield odd >> _GUARD
+    yield even >> _GUARD
+    for d in range(1, _T_MAX - 2, 2):
+        odd += step(d)
+        yield odd >> _GUARD
+        even += step(d + 1)
+        yield even >> _GUARD
 
 
-def _extend(walk: tuple, step: Callable[[int], int], t: int) -> tuple:
-    """The state walk, walked on to t (rounded up to a whole block) by adding
-    step(d) at t = d + 2. It is built in locals, so that the caller publishes
-    it by one assignment and a reader never sees a half-written record."""
+# _psi_rational and _trigamma walked: psi(x) = psi(x-1) + 1/(x-1) from 0 at
+# x = 1/2 and 1, and psi'(x) = psi'(x-1) - 1/(x-1)^2 from pi^2/2 and pi^2/6,
+# with 1/(x-1) = 2/d at x = (d+2)/2
+def _psi_walked() -> Iterator[int]:
+    return _walked(lambda d: _TWO // d, 0, 0)
+
+
+def _trigamma_walked() -> Iterator[int]:
+    return _walked(lambda d: -(_FOUR // (d * d)), _PI2 // 6, _PI2 // 2)
+
+
+def _point(t: int, walked: Callable[[], Iterator[int]], series: Callable) -> int:
+    """A kernel at one t in units of 2^-128, rounded to nearest: walked there
+    up to _SERIES_T; above, with (value, power, coefficients) = series(t),
+    it is value + sum_k c_k power x^-2k at x = t/2 in units of 2^-_P, c_k
+    the k-th of coefficients as (numerator, denominator), summed to the
+    first term below 2^-_STOP, which bounds the rest, as each series
+    envelops its function for x > 0 (DLMF 5.11(ii))."""
     if t > _T_MAX:
         raise DomainError(f"a half-integer argument needs x <= {MAX_DIMENSION}, got x = {t}/2")
-    sums, table = walk
-    sums, table = list(sums), bytearray(table)
-    end = min((t // _BLOCK + 1) * _BLOCK, _T_MAX + 1)
-    for d in range(len(table) // _RECORD - 2, end - 2):
-        sums[d & 1] += step(d)
-        table += (sums[d & 1] >> _GUARD).to_bytes(_RECORD, "little")
-    return tuple(sums), table
-
-
-_TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
-with mpmath.workprec(256):
-    _PI2 = int(mpmath.pi ** 2 * 2 ** (_GUARD + 128))  # pi^2 in units of 2^-192
-_START = _start(0, 0)
-_TRIGAMMA_START = _start(_PI2 // 6, _PI2 // 2)
-_walk, _trigamma_walk = _START, _TRIGAMMA_START  # the published states
+    if t <= _SERIES_T:
+        return next(islice(walked(), t - 1, None))
+    value, power, coefficients = series(t)
+    for num, den in coefficients:
+        power = 4 * power // (t * t)
+        term = power * num // den
+        if abs(term) < 1 << _P - _STOP:
+            return (value + (1 << _P - 129)) >> _P - 128
+        value += term
+    raise AssertionError(f"the series at t = {t} needs more terms")
 
 
 def _psi_rational(t: int) -> int:
     """The rational part of psi(t/2) (see digamma_parts) in units of 2^-128,
-    rounded to nearest."""
-    global _walk
-    o = t * _RECORD
-    table = _walk[1]
-    if o >= len(table):
-        # psi(x) = psi(x-1) + 1/(x-1), and 1/(x-1) = 2/d at x = (d+2)/2
-        _walk = walk = _extend(_walk, lambda d: _TWO // d, t)
-        table = walk[1]
-    return _from_bytes(table[o:o + _RECORD], "little")
+    rounded to nearest: psi(x) + gamma + (t % 2) log 4, with
+    psi(x) = log x - 1/(2x) - sum_{k>=1} B_2k / (2k x^2k) (DLMF 5.11.2)."""
+    def series(t):
+        log = to_fixed(mpf_log(from_int(t), _P + 32), _P)  # floor(log(t) 2^_P)
+        return log + (2 * (t % 2) - 1) * _LN2 + _EULER - (1 << _P) // t, 1 << _P, _PSI_SERIES
+    return _point(t, _psi_walked, series)
 
 
 def _trigamma(t: int) -> int:
-    """psi'(t/2) in units of 2^-128, rounded to nearest."""
-    global _trigamma_walk
-    o = t * _RECORD
-    table = _trigamma_walk[1]
-    if o >= len(table):
-        # psi'(x) = psi'(x-1) - 1/(x-1)^2, and 1/(x-1)^2 = 4/d^2 at x = (d+2)/2
-        _trigamma_walk = walk = _extend(_trigamma_walk, lambda d: -(_FOUR // (d * d)), t)
-        table = walk[1]
-    return _from_bytes(table[o:o + _RECORD], "little")
+    """psi'(t/2) in units of 2^-128, rounded to nearest, with
+    psi'(x) = 1/x + 1/(2x^2) + sum_{k>=1} B_2k / x^(2k+1) (DLMF 5.15.8)."""
+    def series(t):
+        inverse = (2 << _P) // t  # 1/x
+        return inverse + (2 << _P) // (t * t), inverse, _TRIGAMMA_SERIES
+    return _point(t, _trigamma_walked, series)
 
 
-def _psi_diff(tu: int, tv: int) -> float:
-    """psi(tu/2) - psi(tv/2), rounded once when tu and tv share parity."""
-    return (_psi_rational(tu) - _psi_rational(tv)) / _ONE - (tu % 2 - tv % 2) * LOG4
+def _psi_diff(tu: int, tv: int, psi: Callable[[int], int] | None = None) -> float:
+    """psi(tu/2) - psi(tv/2), rounded once when tu and tv share parity. psi
+    reads the values of _psi_rational (by default, it is _psi_rational)."""
+    psi = psi or _psi_rational
+    return (psi(tu) - psi(tv)) / _ONE - (tu % 2 - tv % 2) * LOG4
 
 
-def _psi_gamma(t: int) -> float:
-    """psi(t/2) + gamma, rounded once: _psi_diff(t, 2), as psi(1) = -gamma
-    has a rational part of 0."""
-    return _psi_rational(t) / _ONE - t % 2 * LOG4
+def _psi_gamma(t: int, psi: Callable[[int], int] | None = None) -> float:
+    """psi(t/2) + gamma, rounded once, with psi as in _psi_diff: _psi_diff(t, 2),
+    as psi(1) = -gamma has a rational part of 0."""
+    return (psi or _psi_rational)(t) / _ONE - t % 2 * LOG4
 
 
 def digamma_closed(x) -> float:

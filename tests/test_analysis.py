@@ -459,24 +459,27 @@ def test_tally_matches_the_per_record_loop_over_many_blocks(monkeypatch):
 
 
 def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
-    from ballratio import specfun
-
     monkeypatch.setattr(B, "_BLOCK", 16)
-    calls = {"psi_rational": 0, "psi_slope": [], "psi_diff": []}
-    psi_rational, psi_slope, psi_diff = (specfun._psi_rational, B._COLUMNS.psi_slope,
-                                         B._COLUMNS.psi_diff)
+    # the psi columns record each element they compute
+    calls = {"psi_slope": [], "psi_diff": []}
+    for name in calls:
+        k, make = B._KERNEL_FUNCTIONS[name]
 
-    def count_rational(t):
-        calls["psi_rational"] += 1
-        return psi_rational(t)
-
-    monkeypatch.setattr(specfun, "_psi_rational", count_rational)
-    # the psi columns record each n they are asked for
-    monkeypatch.setattr(B._COLUMNS, "psi_slope",
-                        lambda n: calls["psi_slope"].extend(n) or psi_slope(n))
-    monkeypatch.setattr(B._COLUMNS, "psi_diff",
-                        lambda tu, tv: calls["psi_diff"].extend((t, tv) for t in tu)
-                        or psi_diff(tu, tv))
+        def recording(read, name=name, make=make):
+            fn = make(read)
+            return lambda *args: calls[name].append(args) or fn(*args)
+        monkeypatch.setitem(B._KERNEL_FUNCTIONS, name, (k, recording))
+    # each kernel's walk records the t it steps to, and a read alone its t
+    steps = {"psi": [], "trigamma": []}
+    reads = []
+    for kernel in steps:
+        def stepped(kernel=kernel, walked=getattr(B, f"_{kernel}_walked")):
+            for t, value in enumerate(walked(), 1):
+                steps[kernel].append(t)
+                yield value
+        monkeypatch.setattr(B, f"_{kernel}_walked", stepped)
+    for name in ("_psi_rational", "_trigamma"):
+        monkeypatch.setattr(B, name, lambda t, real=getattr(B, name): reads.append(t) or real(t))
     # each truncate loop records, per block of n, the orders whose factor or
     # summand it adds
     orders: dict = {}
@@ -496,10 +499,12 @@ def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
                       "s": {b: [0, 1, 2, 3] for b in blocks(50)},
                       "w": {b: [1, 2, 3] for b in blocks(50)}}
     # lower-d's (psi((n+1)/2) + gamma)/(n-1) (pi^2/12 at n = 1) and upper-h's
-    # psi(n/2) - psi(3/2), each once per n: three table reads per n
-    assert calls["psi_slope"] == list(range(1, 51))
+    # psi(n/2) - psi(3/2), each once per n; psi at t = 1..51 and psi' at
+    # t = 1..51 each walked once over the pass, and no t read alone
+    assert calls["psi_slope"] == [(n,) for n in range(1, 51)]
     assert calls["psi_diff"] == [(n, 3) for n in range(1, 51)]
-    assert calls["psi_rational"] == 3 * 50 - 1
+    assert steps == {"psi": list(range(1, 52)), "trigamma": list(range(1, 52))}
+    assert reads == []
 
     # a crossover's pair is one column per block: the two orders share one product
     orders.clear()

@@ -38,6 +38,44 @@ def test_to_real_handles_big_pi_powers():
     assert abs(tiny.to_real() - math.pi ** -40.0) < 1e-32
 
 
+def _to_real_whole(value):
+    """to_real's big-power branch reading both integers whole, as it did
+    before it read their leading bits."""
+    import mpmath
+
+    with mpmath.workprec(128):
+        x = mpmath.mpf(value.mantissa.numerator) / value.mantissa.denominator
+        man, exp = (x * mpmath.pi ** value.pi_power).man_exp
+    return man / (1 << -exp) if exp < 0 else float(man << exp)
+
+
+def test_to_real_reads_leading_bits_bit_for_bit():
+    # Omega_n underflows a double from n = 453 on, so the 128-bit quotient
+    # that to_real rounds is compared too, and alone past n = 3000
+    import mpmath
+
+    for n in [*range(10, 3001), *range(3001, bv.MAX_DIMENSION + 1, 997)]:
+        omega = bv.omega_exact(n)
+        num, den = omega.mantissa.numerator, omega.mantissa.denominator
+        with mpmath.workprec(128):
+            assert bv._quotient(num, den) == mpmath.mpf(num) / den, n
+        assert n > 3000 or omega.to_real() == _to_real_whole(omega), n
+    # leading 192 bits of a numerator just below a rounding tie at 128 bits,
+    # which one more unit on them reaches and rounds up to even; and a
+    # denominator just past 2^378 / c, so that 1/den lies just below the tie
+    # c 2^-378 (c odd, of 129 bits) and one over its leading bits above it:
+    # each is read whole
+    below_tie = ((2**127 + 1) << 64) + (1 << 63) - 1
+    straddle = (1 << 378) // ((1 << 128) + 3) + 1
+    for num, den in ((below_tie << 40 | 12345, 3), (below_tie << 40, 1), (1, straddle),
+                     (3**200, 5**150)):
+        with mpmath.workprec(128):
+            assert bv._quotient(num, den) == mpmath.mpf(num) / den, (num, den)
+        for p in (5, -9):
+            value = bv.ExactBallValue(Fraction(num, den), p)
+            assert value.to_real() == _to_real_whole(value), (num, den, p)
+
+
 def test_v_spot_values():
     assert bv.v_exact(1) == bv.ExactBallValue(Fraction(1, 2), 0)
     assert bv.v_exact(2) == bv.ExactBallValue(Fraction(2), -1)

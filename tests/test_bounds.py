@@ -387,6 +387,45 @@ def test_columns_refuse_n_out_of_range_before_any_work(monkeypatch):
             next(B._rows(ids, ns))
 
 
+def _refuse(monkeypatch, *names):
+    def refuse(*args):
+        raise AssertionError(f"{names} called")
+    for name in names:
+        monkeypatch.setattr(B, name, refuse)
+
+
+def test_sparse_rows_walk_no_kernel(monkeypatch):
+    # bounds --target w --n 30000,29999,12345: psi' read at three points
+    _refuse(monkeypatch, "_psi_walked", "_trigamma_walked")
+    ids = [s.id for s in B.catalog() if s.target == "w"]
+    ns = [30_000, 29_999, 12_345]
+    assert list(B._rows(ids, ns)) == [[B.eval_bound(bid, n) for bid in ids] for n in ns]
+
+
+def test_dense_rows_read_no_t_alone(monkeypatch):
+    # bounds --target v over the odd n <= 9999: psi walked once, psi(3/2)
+    # kept from the first block; the rows of a shuffled list are the same
+    ids = [s.id for s in B.catalog() if s.target == "v"]
+    odd = range(1, 10_000, 2)
+    want = {n: [B.eval_bound(bid, n) for bid in ids] for n in (1, 3, 511, 513, 9999)}
+    shuffled = [9999, 1, 513, 3, 511, 3]
+    assert list(B._rows(ids, shuffled)) == [want[n] for n in shuffled]
+    _refuse(monkeypatch, "_psi_rational", "_trigamma")
+    rows = dict(zip(odd, B._rows(ids, odd)))
+    assert {n: rows[n] for n in want} == want
+
+
+def test_a_walking_pass_holds_one_window():
+    ids = [s.id for s in B.catalog()]
+    ns = range(1, 5001)
+    kernels = B._kernels(ns)
+    for block in B._blocks(ns):
+        for _ in B._columns(ids, block, kernels):
+            pass
+        assert all(len(k) <= B._SERIES_T + B._BLOCK + 1 for k in kernels), block[0]
+    assert [k.t for k in kernels] == [5001, 5001]
+
+
 def test_truncates_go_on_from_a_lower_order():
     from ballratio.gautschi import joint_factor_truncate
 

@@ -5,9 +5,8 @@ import hashlib
 import math
 import random
 import struct
-import sys
-import threading
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -281,10 +280,6 @@ def test_psi_gamma_is_the_difference_from_psi_one(monkeypatch):
     assert reads == [1001]
 
 
-def _cold(monkeypatch, walk="_walk", start=sf._START):
-    monkeypatch.setattr(sf, walk, start)
-
-
 def test_psi_rational_rounds_the_exact_sum_to_nearest():
     # digamma_parts, summed by binary splitting, is the reference
     for t in [*range(1, 2001), *range(2001, 2 * bv.MAX_DIMENSION + 1, 99_999)]:
@@ -292,55 +287,53 @@ def test_psi_rational_rounds_the_exact_sum_to_nearest():
         assert sf._psi_rational(t) == round(r * 2**128), t
 
 
+def _point_ts(seed):
+    """Every 97th t to the cap, and 2000 t drawn at random, for the point reads."""
+    rng = random.Random(seed)
+    return {*range(1, 2 * bv.MAX_DIMENSION + 1, 97),
+            *(rng.randrange(1, 2 * bv.MAX_DIMENSION + 1) for _ in range(2000))}
+
+
+def _check_walk(walked, lo, hi, step, point, seed):
+    """Floor and ceiling walks from lo and hi (values at t = 2 and 1, in units
+    of 2^-192), adding at t = d + 2 the term step(d, up) rounded down (up
+    False) or up, round alike to walked's value at every t to the cap, and
+    the floor walk never sits on a rounding boundary. So the exact value,
+    which lies between, is at least 2^-192 from one and rounds to the walk's
+    value, as does any reader within 2^-193 of it; the point reader must give
+    the walk's value at the t of _point_ts."""
+    ts = _point_ts(seed)
+    boundary = 1 << 63  # x rounds up from x = k 2^64 + 2^63 on
+    for t, value in zip(range(1, 2 * bv.MAX_DIMENSION + 1), walked()):
+        if t > 2:
+            lo[t % 2] += step(t - 2, False)
+            hi[t % 2] += step(t - 2, True)
+        assert value == (lo[t % 2] + boundary) >> 64 == (hi[t % 2] + boundary) >> 64, t
+        assert lo[t % 2] % (1 << 64) != boundary, t
+        if t in ts:
+            assert point(t) == value, t
+
+
 def test_psi_rational_is_correctly_rounded_up_to_the_cap():
-    # the walk floors each term; ceiling every term instead must round to the
-    # same value, so the exact sum, which lies between, rounds to it too
-    ceil = [0, 0]
-    for t in range(3, 2 * bv.MAX_DIMENSION + 1):
-        ceil[t % 2] += -(-(1 << 193) // (t - 2))
-        assert sf._psi_rational(t) == (ceil[t % 2] + (1 << 63)) >> 64, t
+    # the walk floors each term 2/d in units of 2^-192; ceiling every term
+    # instead must round to the same value
+    _check_walk(sf._psi_walked, [0, 0], [0, 0],
+                lambda d, up: -(-(1 << 193) // d) if up else (1 << 193) // d,
+                sf._psi_rational, 1)
 
 
-def test_psi_rational_ignores_call_order(monkeypatch):
-    _cold(monkeypatch)
-    far = sf._psi_rational(150_001)
-    assert sf._psi_rational(7) == round(sf.digamma_parts(Fraction(7, 2))[0] * 2**128)
-    jumped = [sf._psi_rational(t) for t in range(1, 150_002)]
-    _cold(monkeypatch)
-    ascending = [sf._psi_rational(t) for t in range(1, 150_002)]
-    assert jumped == ascending and ascending[-1] == far
+def test_trigamma_is_correctly_rounded_up_to_the_cap():
+    # floor and ceiling walks from pi^2/6 and pi^2/2 (x = 1 and 1/2) bracket
+    # psi' in units of 2^-192, each term 4/d^2 rounded the other way
+    import mpmath
 
-
-def _race(monkeypatch, read, walk, start):
-    """Readers and extenders race on the published (sums, table) state walk
-    of the reader read, from start; every read must see the walked value."""
-    want = [read(t) for t in range(1, 60_001)]
-    _cold(monkeypatch, walk, start)
-    bad = []
-
-    def worker(seed):
-        rng = random.Random(seed)
-        for _ in range(300):
-            t = rng.randrange(1, 60_001)
-            if read(t) != want[t - 1]:
-                bad.append(t)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(th.is_alive() for th in threads) and bad == [], walk
-
-
-def test_concurrent_walks_agree(monkeypatch):
-    _race(monkeypatch, sf._psi_rational, "_walk", sf._START)
-    _race(monkeypatch, sf._trigamma, "_trigamma_walk", sf._TRIGAMMA_START)
+    with mpmath.workprec(300):
+        starts = [mpmath.pi ** 2 * 2**192 / k for k in (6, 2)]
+        lo = [int(mpmath.floor(s)) for s in starts]
+        hi = [int(mpmath.ceil(s)) for s in starts]
+    four = 4 << 192
+    _check_walk(sf._trigamma_walked, lo, hi,
+                lambda d, up: -(four // d**2) if up else -four // d**2, sf._trigamma, 2)
 
 
 def test_digamma_doubles_are_pinned():
@@ -357,25 +350,6 @@ def test_trigamma_doubles_are_pinned():
     assert h.hexdigest() == "9b07c28b0a833c7ad62d5ce302eb8332e4208c128e16cbf597194178a8fab6b2"
 
 
-def test_trigamma_is_correctly_rounded_up_to_the_cap():
-    # floor and ceiling walks from pi^2/6 and pi^2/2 (x = 1 and 1/2) bracket
-    # psi' in units of 2^-192; both must round to the kernel's value, so the
-    # exact psi', which lies between, rounds to it too
-    import mpmath
-
-    with mpmath.workprec(300):
-        starts = [mpmath.pi ** 2 * 2**192 / k for k in (6, 2)]
-        lo = [int(mpmath.floor(s)) for s in starts]
-        hi = [int(mpmath.ceil(s)) for s in starts]
-    four = 4 << 192
-    for t in range(1, 2 * bv.MAX_DIMENSION + 1):
-        if t > 2:
-            lo[t % 2] -= -(-four // (t - 2) ** 2)
-            hi[t % 2] -= four // (t - 2) ** 2
-        want = (lo[t % 2] + (1 << 63)) >> 64
-        assert sf._trigamma(t) == want == (hi[t % 2] + (1 << 63)) >> 64, t
-
-
 def test_digamma_closed_stops_at_the_cap():
     top = bv.MAX_DIMENSION
     assert sf.digamma_closed(top) == sf._psi_rational(2 * top) / 2**128 - sf.EULER_GAMMA
@@ -389,26 +363,16 @@ def test_digamma_closed_stops_at_the_cap():
     assert holds and 0 < rhs - sf.digamma_closed(top) < 1 / top
 
 
-def test_cold_walk_to_the_cap_stays_small(monkeypatch):
-    _cold(monkeypatch)
+def test_cold_walk_to_the_cap_stays_small():
+    # a walk keeps two parity sums, not the values it has passed
     tracemalloc.start()
     try:
-        sf._psi_rational(2 * bv.MAX_DIMENSION)
+        for walked in (sf._psi_walked, sf._trigamma_walked):
+            deque(walked(), maxlen=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20  # 17 bytes per argument: about 3.4 MB
-
-
-def test_cold_trigamma_walk_to_the_cap_stays_small(monkeypatch):
-    _cold(monkeypatch, "_trigamma_walk", sf._TRIGAMMA_START)
-    tracemalloc.start()
-    try:
-        sf._trigamma(2 * bv.MAX_DIMENSION)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 2**20
 
 
 def test_walk_needs_no_mpmath_harmonic(monkeypatch):
@@ -418,7 +382,6 @@ def test_walk_needs_no_mpmath_harmonic(monkeypatch):
         raise AssertionError("mpmath.harmonic called")
 
     monkeypatch.setattr(mpmath, "harmonic", refuse)
-    _cold(monkeypatch)
     for s in B.catalog():
         for n in [*range(s.min_n, 51), 30_000]:
             assert math.isfinite(B.eval_bound(s.id, n))

@@ -7,19 +7,25 @@ Each LABEL=SRC names a source tree holding the `ballratio` package. For
 each tree (the order of the trees alternates from one run to the next):
 
 - the commands of CLI_RUNS, each in a fresh interpreter: `verify --n-max
-  10000` (5 runs) and `--n-max 100000` (3 runs), and 5 runs each of the
-  sparse shapes that every `perfbench` `queries` round holds: v and w
-  tables at n = 30000 and 29999, and a near-tie crossover to 3000;
-  the wall time is taken with time.perf_counter around the child, and the
-  peak resident set from os.wait4 of that child;
+  10000` (5 runs) and `--n-max 100000` (7 runs: 3 cannot resolve a change
+  of its peak RSS), 5 runs each of the sparse shapes that every `perfbench`
+  `queries` round holds: v and w tables at n = 30000 and 29999, and a
+  near-tie crossover to 3000; and 5 runs each of v and w tables at
+  n = 100000 and 99999 and of `volume --n 100000`, the sparse reads at the
+  cap; the wall time is taken with time.perf_counter around the child, and
+  the peak resident set from os.wait4 of that child;
 - the in-process measurements of IN_PROCESS, each run a fresh interpreter
   that measures once after a warm-up:
   - the split of `verify_tally` at n_max 5000 (7 runs) and at the cap
     100000 (3 runs): `ratio_walk`, the catalog's bound values
     (bounds._columns block by block), and the whole `verify_tally`;
-    decide/tally is the whole minus the other two;
+    decide/tally is the whole minus the other two. The catalog values run
+    as one pass, on the pass's kernels where the tree has them
+    (bounds._kernels); a tree whose kernels are tables builds them in the
+    warm-up instead, so its split leaves their walk out;
   - (5 runs) µs per n of each catalog family in bounds._columns at n_max
-    5000, all of its orders together, as one `_columns` call per block;
+    5000, all of its orders together, as one `_columns` call per block of
+    one pass;
     and µs per `eval_bound_mp` call of each bound of MP_IDS, over the 200 n
     from 20000 on;
   - (5 runs) the products in tolerance mode, each group timed as a whole:
@@ -53,11 +59,14 @@ import time
 # (name, arguments, runs per tree) of the CLI
 CLI_RUNS = (
     ("verify_10000", ["verify", "--n-max", "10000"], 5),
-    ("verify_100000", ["verify", "--n-max", "100000"], 3),
+    ("verify_100000", ["verify", "--n-max", "100000"], 7),
     ("bounds_v_30000", ["bounds", "--target", "v", "--n", "30000,29999"], 5),
     ("bounds_w_30000", ["bounds", "--target", "w", "--n", "30000,29999"], 5),
     ("crossover_w_3000", ["crossover", "--target", "w", "--ids", "upper-refined:1,upper-51",
                           "--n-max", "3000"], 5),
+    ("bounds_v_100000", ["bounds", "--target", "v", "--n", "100000,99999"], 5),
+    ("bounds_w_100000", ["bounds", "--target", "w", "--n", "100000,99999"], 5),
+    ("volume_100000", ["volume", "--n", "100000"], 5),
 )
 MP_IDS = ("v:lower-d:2", "v:upper-h:2", "w:lower-trigamma", "w:upper-refined:1")
 
@@ -71,12 +80,13 @@ ids = [s.id for s in bounds.catalog()]
 
 
 def values():
+    kernels = (bounds._kernels(range(1, n_max + 1)),) if hasattr(bounds, "_kernels") else ()
     for block in bounds._blocks(range(1, n_max + 1)):
-        for _ in bounds._columns(ids, block):
+        for _ in bounds._columns(ids, block, *kernels):
             pass
 
 
-analysis.verify_tally(ids, n_max)  # warm-up: the psi table is built once
+analysis.verify_tally(ids, n_max)  # warm-up (kernel tables, where a tree has them)
 out = {}
 for key, run in (("ratio_walk_s", lambda: list(ratio_walk(n_max))),
                  ("catalog_values_s", values),
@@ -97,12 +107,13 @@ for s in bounds.catalog():
     families.setdefault(f"{s.target}:{s.id.kind}", []).append(s.id)
 blocks = list(bounds._blocks(range(1, 5001)))
 mp_ns = range(20_000, 20_200)
-analysis.verify_tally([s.id for s in bounds.catalog()], 20_200)  # warm-up: the psi table
+analysis.verify_tally([s.id for s in bounds.catalog()], 20_200)  # warm-up (as in SPLIT)
 out = {}
 for name, ids in families.items():
     t0 = time.perf_counter()
+    kernels = (bounds._kernels(range(1, 5001)),) if hasattr(bounds, "_kernels") else ()
     for block in blocks:
-        for _ in bounds._columns(ids, block):
+        for _ in bounds._columns(ids, block, *kernels):
             pass
     out[f"columns_us_per_n:{name}"] = (time.perf_counter() - t0) / 5000 * 1e6
 for name in sys.argv[1].split(","):
