@@ -363,16 +363,23 @@ def test_digamma_closed_stops_at_the_cap():
     assert holds and 0 < rhs - sf.digamma_closed(top) < 1 / top
 
 
-def test_cold_walk_to_the_cap_stays_small():
-    # a walk keeps two parity sums, not the values it has passed
+def _walk_peak(walked):
     tracemalloc.start()
     try:
-        for walked in (sf._psi_walked, sf._trigamma_walked):
-            deque(walked(), maxlen=0)
+        deque(walked(), maxlen=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    return peak
+
+
+def test_cold_walk_to_the_cap_stays_small():
+    # a walk keeps two parity sums, not the values it has passed
+    assert _walk_peak(sf._psi_walked) < 2**20
+
+
+def test_cold_trigamma_walk_to_the_cap_stays_small():
+    assert _walk_peak(sf._trigamma_walked) < 2**20
 
 
 def test_walk_needs_no_mpmath_harmonic(monkeypatch):
