@@ -10,7 +10,7 @@ w_n < 1 + 1/n at every n in integers; klein_rota_check reads the same
 walk. The sweep then walks n in blocks of bounds._BLOCK: in each
 block, every bound comes as one column of bounds._columns, which computes
 each truncate and psi term once per n for all of them (the psi and psi'
-kernels walked once over the sweep, bounds._kernels), and one generator
+kernels walked once over the sweep, specfun._kernels), and one generator
 decides sidedness column by column, with the tie scale taken once per n
 and target; the elementwise work runs in map and sum, not in a Python loop
 per (bound, n). `verify_bounds` keeps one record per (bound, n), bound by
@@ -33,9 +33,10 @@ from itertools import repeat
 import mpmath
 
 from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
-from .bounds import BoundId, _blocks, _columns, _kernels, _rows, eval_bound_mp
+from .bounds import BoundId, _blocks, _columns, _rows, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _double, _dps, _least, _log_partial
+from .specfun import _kernels
 
 # sidedness slack: gap > -TIE_REL * scale counts as correct-sided, which
 # admits the one documented exact-equality case without admitting real flips
@@ -180,6 +181,8 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
         raise ValueError(
             f"bounds {a.label()} and {b.label()} do not share side and target"
         )
+    if a == b:
+        raise ValueError(f"crossover needs two different bounds, got {a.label()} twice")
     start = max(a.min_n, b.min_n)
     if not start <= n_max <= MAX_DIMENSION:
         raise DomainError(f"n_max must lie in [{start}, {MAX_DIMENSION}], got {n_max}")

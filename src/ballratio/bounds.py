@@ -13,10 +13,10 @@ one small-int loop; digamma and trigamma are taken at half-integers x,
 each given as the int t = 2x. Three backends run the formulas:
 
 - FLOAT (eval_bound): doubles at one n. Each pair is rounded by a single
-  correctly rounded division, and psi/psi' come from specfun's t-keyed
-  integer kernels, each read at its point, values in units of 2^-128 rounded
-  once, arranged so that gamma and log-4 contributions cancel exactly where
-  they should.
+  correctly rounded division, and psi_slope, psi_alpha and trigamma are
+  specfun's kernel functions, which read its t-keyed integer kernels at
+  their points, values in units of 2^-128 rounded once, arranged so that
+  gamma and log-4 contributions cancel exactly where they should.
 - the shared column backend (_columns, and _rows and verify on top of it):
   FLOAT on a block of n at once, N a column of doubles and n one of ints.
   A column applies + - * / ** elementwise through the operator builtins
@@ -27,16 +27,16 @@ each given as the int t = 2x. Three backends run the formulas:
   whole block (its readers mask the n below its min_n). The m-truncates f,
   sigma, s and w extend one another, one factor or one summand per order,
   so each keeps its last pair of columns and goes on from it to a higher
-  order instead of starting again; each psi function keeps its last
+  order instead of starting again; each kernel function keeps its last
   column. _columns asks in ascending m, so in each block every factor,
   summand and psi value is computed once per n, and only if some bound
-  reads it. The kernel values come from the pass's _Kernel pair: a sweep,
-  or a dense list of n, walks each kernel once over the pass, and a sparse
-  list reads each t at its point (specfun).
+  reads it. The kernel functions read the pass's pair of kernels
+  (specfun._kernels): a sweep, or a dense list of n, walks each kernel once
+  over the pass, and a sparse list reads each t at its point.
 - MP (eval_bound_mp): FLOAT at 30 digits, for near-tie adjudication: pi,
-  sqrt, exp and the division are mpmath's, and psi/psi' read the same
-  integer kernels at their points, each value rounded once at working
-  precision.
+  sqrt, exp and the division are mpmath's, and the same kernel functions
+  read the same integer kernels at their points, each value rounded once at
+  working precision.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
-from .specfun import (_ONE, _SERIES_T, _WALK_RATIO, _psi_diff, _psi_gamma, _psi_rational,
-                      _psi_walked, _trigamma, _trigamma_walked)
+from .specfun import _fixed, _Kernel, _kernel_functions, _kernels, _mp_fixed
 
 _MP_DPS = 30  # digits of eval_bound_mp
 # Largest truncation order m. The truncates' integers grow with m, so the
@@ -105,42 +104,19 @@ def _w_trunc(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, i
     return p, q
 
 
-def _psi_slope(pi, psi_gamma: Callable) -> Callable:
-    """(psi((n+1)/2) + gamma)/(n-1) from psi_gamma(t) = psi(t/2) + gamma, its
-    removable singularity at n = 1 patched with the limit psi'(1)/2 = pi^2/12."""
-    return lambda n: pi * pi / 12 if n == 1 else psi_gamma(n + 1) / (n - 1)
-
-
-# FLOAT's functions of the kernels, by name: (k, make), make(read) the
-# function reading kernel k, psi's rational part (0) or psi' (1), at t/2 as
-# read(t) in units of 2^-128
-_KERNEL_FUNCTIONS = {
-    "psi_slope": (0, lambda psi: _psi_slope(math.pi, lambda t: _psi_gamma(t, psi))),
-    "psi_diff": (0, lambda psi: lambda tu, tv: _psi_diff(tu, tv, psi)),
-    "trigamma": (1, lambda trigamma: lambda t: trigamma(t) / _ONE),
-}
-
-
-# psi_slope at the int n; psi(u) - psi(v) and psi'(x), each half-integer
-# given as the int t = 2x; and the truncates, each as B.f(n, m) -> the pair
-# of order m
+# psi_slope, psi_alpha and trigamma at the int n (specfun's kernel
+# functions), and the truncates, each as B.f(n, m) -> the pair of order m
 FLOAT = SimpleNamespace(
     pi=math.pi,
     sqrt=math.sqrt,
     exp=math.exp,
     ratio=operator.truediv,  # int true division rounds once, correctly
-    **{name: make((_psi_rational, _trigamma)[k]) for name, (k, make) in _KERNEL_FUNCTIONS.items()},
+    **_kernel_functions(_fixed, math.pi),
     f=_f_m,
     sigma=_sigma,
     s=_s,
     w=_w_trunc,
 )
-
-
-def _mp_fixed(units: int, log4s: int):
-    """A kernel value, units * 2^-128 - log4s * log 4, at working precision."""
-    return mpmath.mpf(units) / _ONE - log4s * 2 * mpmath.ln2
-
 
 MP = SimpleNamespace(**{
     **vars(FLOAT),
@@ -148,10 +124,7 @@ MP = SimpleNamespace(**{
     "sqrt": mpmath.sqrt,
     "exp": mpmath.exp,
     "ratio": lambda p, q: mpmath.mpf(p) / q,
-    "psi_slope": _psi_slope(mpmath.pi, lambda t: _mp_fixed(_psi_rational(t), t % 2)),
-    "psi_diff": lambda tu, tv: _mp_fixed(_psi_rational(tu) - _psi_rational(tv),
-                                         tu % 2 - tv % 2),
-    "trigamma": lambda t: _mp_fixed(_trigamma(t), 0),
+    **_kernel_functions(_mp_fixed, mpmath.pi),
 })
 
 
@@ -181,50 +154,12 @@ class _Column(list):
     __iadd__, __imul__ = __add__, __mul__  # list's would extend or repeat in place
 
 
-# FLOAT on columns: the same truncate loops, each function mapped
+# FLOAT on columns: the same truncate loops, each function mapped; the
+# kernel functions come from _sharing, on the pass's kernels
 _COLUMNS = SimpleNamespace(**{
     **vars(FLOAT),
-    **{name: _each(getattr(FLOAT, name))
-       for name in ("sqrt", "exp", "ratio", "psi_slope", "psi_diff", "trigamma")},
+    **{name: _each(getattr(FLOAT, name)) for name in ("sqrt", "exp", "ratio")},
 })
-
-
-class _Kernel(dict):
-    """One of specfun's kernels, _psi_rational or _trigamma, over one pass of
-    blocks of ascending n: its values by t.
-
-    With walk, an iterator over the kernel at t = 1, 2, ..., each block steps
-    it on to the largest t the block reads, so the pass walks each t once.
-    The values below the block's least t are then dropped, but for those at
-    t <= _SERIES_T, which a read alone would walk to again (upper-h reads psi
-    at t = 3). Without walk, and for any t not held, a t is read alone by
-    point, specfun's reader, and kept."""
-
-    def __init__(self, point: Callable[[int], int], walk: Iterator[int] | None = None):
-        self.point, self.walk, self.lo, self.t = point, walk, 1, 0  # t: the last walked
-
-    def __missing__(self, t: int) -> int:
-        self[t] = value = self.point(t)
-        return value
-
-    def read(self, lo: int, hi: int) -> Callable[[int], int]:
-        """The reader of a block that reads t = lo..hi, and a few constants."""
-        if self.walk is not None and hi > self.t:
-            for t in range(max(self.lo, _SERIES_T + 1), min(lo, self.t + 1)):
-                self.pop(t, None)
-            if lo > self.t + 1:
-                next(islice(self.walk, lo - self.t - 2, None))  # steps to t = lo - 1
-            self.update(zip(range(max(lo, self.t + 1), hi + 1), self.walk))
-            self.lo, self.t = lo, hi
-        return self.__getitem__
-
-
-def _kernels(ns: Sequence[int] = ()) -> tuple[_Kernel, _Kernel]:
-    """psi's and psi''s _Kernel for a pass over ns: walked when the largest n
-    is at most _WALK_RATIO times the count of ns, else read at each t alone."""
-    walk = bool(ns) and max(ns) <= _WALK_RATIO * len(ns)
-    return (_Kernel(_psi_rational, _psi_walked() if walk else None),
-            _Kernel(_trigamma, _trigamma_walked() if walk else None))
 
 
 def _sharing(kernels: tuple[_Kernel, _Kernel] | None = None,
@@ -232,11 +167,11 @@ def _sharing(kernels: tuple[_Kernel, _Kernel] | None = None,
     """The column backend for the bounds of one block, which all run on the
     same n column. Each truncate keeps the last pair of columns it gave, with
     its order, and goes on from it when asked for a higher order; a lower
-    order starts again. Each psi function keeps its last arguments and
+    order starts again. Each kernel function keeps its last argument and
     column. Nothing is kept beyond that one entry each. psi and psi' come
-    from kernels, the pass's (by default, each t read alone), whose formulas
-    read them at t = n and n + 1, so in lo..hi, the block's least n to its
-    largest plus one."""
+    from kernels, the pass's (by default, each t read alone), which the
+    kernel functions read at t = n and n + 1, so in lo..hi, the block's least
+    n to its largest plus one."""
     def truncate(loop):
         k, p, q = 0, 1, 1  # the last order and its pair; 0 when none
 
@@ -248,27 +183,22 @@ def _sharing(kernels: tuple[_Kernel, _Kernel] | None = None,
             return p, q
         return get
 
-    def psi(fn):
-        last, value = None, None  # the last arguments and their value
+    def last(fn):
+        arg, value = None, None  # the last argument and its value
 
-        def get(*args):
-            nonlocal last, value
-            if args != last:
-                last, value = args, fn(*args)
+        def get(n):
+            nonlocal arg, value
+            if n != arg:
+                arg, value = n, fn(n)
             return value
         return get
 
-    def reading(name):
-        # the kernel function name of FLOAT, on the block's window of its kernel
-        k, make = _KERNEL_FUNCTIONS[name]
-        return lambda *args: _each(make(kernels[k].read(lo, hi)))(*args)
-
-    kernels = kernels or _kernels()
+    readers = (kernel.read(lo, hi) for kernel in kernels or _kernels())
     return SimpleNamespace(**{
         **vars(_COLUMNS),
         **{name: truncate(getattr(_COLUMNS, name)) for name in ("f", "sigma", "s", "w")},
-        **{name: psi(reading(name)) for name in ("psi_slope", "psi_diff")},
-        "trigamma": reading("trigamma"),
+        **{name: last(_each(fn))
+           for name, fn in _kernel_functions(_fixed, math.pi, *readers).items()},
     })
 
 
@@ -292,11 +222,11 @@ _FAMILIES: tuple[_Family, ...] = (
             lambda B, N, n, m: B.sqrt(N / (2 * B.pi))),
     _Family("v", "lower-alzer", "lower", False, 1, "Alzer",
             lambda B, N, n, m: B.sqrt((N + 0.5) / (2 * B.pi))),
-    # psi(n/2) - alpha = psi(n/2) - psi(3/2): gamma and log 4 cancel exactly,
-    # so at n = 1 the difference is the integer -2
+    # psi(n/2) - alpha, alpha = psi(3/2): gamma and log 4 cancel exactly, so
+    # at n = 1 the difference is the integer -2
     _Family("v", "upper-h", "upper", True, 1, "digamma-exponential upper bound",
             lambda B, N, n, m: B.ratio(*B.f(n, m)) / B.pi * B.exp(N * (
-                B.psi_diff(n, 3) / (2 * (N + 1)) - B.ratio(*B.s(n, m))))),
+                B.psi_alpha(n) / (2 * (N + 1)) - B.ratio(*B.s(n, m))))),
     _Family("v", "upper-alzer", "upper", False, 1, "Alzer",
             lambda B, N, n, m: B.sqrt((N + (B.pi / 2 - 1)) / (2 * B.pi))),
     _Family("v", "upper-borgwardt", "upper", False, 1, "Borgwardt (1987), shifted index",

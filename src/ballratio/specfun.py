@@ -11,8 +11,10 @@ functions have closed forms built from finite rational sums:
 digamma_parts returns psi's sum exactly, by binary splitting; no
 evaluation path uses it. Evaluation takes the int t = 2x, up to the cap
 t = 2 * MAX_DIMENSION, and reads two integer kernels in units of 2^-128,
-which every reader, double or mpmath, rounds once. Both are correctly
-rounded to nearest and keep no table or state:
+which every reader rounds once, to a double (_fixed) or at mpmath's working
+precision (_mp_fixed); the bound catalog reads them only through
+_kernel_functions. Both kernels are correctly rounded to nearest and keep
+no table or state:
 
 - _psi_rational(t), psi's rational part H_{m-1} or 2 H_{2m} - H_m, so gamma
   and log 4 cancel exactly in differences;
@@ -25,7 +27,7 @@ Each is read in one of two ways:
   pi^2/2 and pi^2/6 (pi^2/6 minus the sum would lose about log10(x) digits
   in double, but not at 2^-192). A sweep, and any list of n whose largest is
   at most _WALK_RATIO times their count, walks each kernel once per pass,
-  carrying only its two parity sums (bounds._kernels);
+  carrying only its two parity sums and one block's values (_kernels);
 - at a point, for every other read: the asymptotic series (DLMF 5.11.2,
   5.15.8) in integers of 2^-256, or below t = 257, where it would need more
   terms, a walk.
@@ -115,7 +117,7 @@ _T_MAX = 2 * MAX_DIMENSION
 # sums a series in units of 2^-_P to its first term below 2^-_STOP (17 terms
 # at t = 257). A walk step costs about 0.25 us and a point read 3-20 us, so
 # reads of many t walk once when their largest t is at most _WALK_RATIO times
-# their count (bounds._kernels).
+# their count (_kernels).
 _GUARD, _P, _STOP, _SERIES_T, _WALK_RATIO = 64, 256, 200, 256, 64
 _TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
 with mpmath.workprec(_P + 32):
@@ -194,17 +196,75 @@ def _trigamma(t: int) -> int:
     return _point(t, _trigamma_walked, series)
 
 
-def _psi_diff(tu: int, tv: int, psi: Callable[[int], int] | None = None) -> float:
-    """psi(tu/2) - psi(tv/2), rounded once when tu and tv share parity. psi
-    reads the values of _psi_rational (by default, it is _psi_rational)."""
-    psi = psi or _psi_rational
-    return (psi(tu) - psi(tv)) / _ONE - (tu % 2 - tv % 2) * LOG4
+def _fixed(units: int, log4s: int) -> float:
+    """A kernel value, units * 2^-128 - log4s * log 4, as a double."""
+    return units / _ONE - log4s * LOG4
 
 
-def _psi_gamma(t: int, psi: Callable[[int], int] | None = None) -> float:
-    """psi(t/2) + gamma, rounded once, with psi as in _psi_diff: _psi_diff(t, 2),
-    as psi(1) = -gamma has a rational part of 0."""
-    return (psi or _psi_rational)(t) / _ONE - t % 2 * LOG4
+def _mp_fixed(units: int, log4s: int):
+    """A kernel value, units * 2^-128 - log4s * log 4, at working precision."""
+    return mpmath.mpf(units) / _ONE - log4s * 2 * mpmath.ln2
+
+
+def _kernel_functions(fixed: Callable, pi, psi: Callable[[int], int] = _psi_rational,
+                      trigamma: Callable[[int], int] = _trigamma) -> dict[str, Callable]:
+    """The bound catalog's functions of the kernels, each at an int n, with
+    psi's rational part and psi' at t/2 read as psi(t) and trigamma(t) in
+    units of 2^-128 (by default, each at its point), and fixed as the
+    backend's converter (_fixed or _mp_fixed):
+
+    - psi_slope: (psi((n+1)/2) + gamma)/(n-1), as psi(1) = -gamma has a
+      rational part of 0; its removable singularity at n = 1 is patched with
+      the limit psi'(1)/2 = pi^2/12;
+    - psi_alpha: psi(n/2) - alpha, alpha = psi(3/2) = 2 - gamma - log 4, whose
+      rational part is exactly 2: gamma cancels, and log 4 too at odd n;
+    - trigamma: psi'(n/2)."""
+    return {
+        "psi_slope": lambda n: (pi * pi / 12 if n == 1
+                                else fixed(psi(n + 1), (n + 1) % 2) / (n - 1)),
+        "psi_alpha": lambda n: fixed(psi(n) - 2 * _ONE, n % 2 - 1),
+        "trigamma": lambda n: fixed(trigamma(n), 0),
+    }
+
+
+class _Kernel(dict):
+    """One of the kernels, _psi_rational or _trigamma, over one pass of blocks
+    of ascending n: its values by t.
+
+    read(lo, hi) opens the window of a block that reads t = lo..hi and returns
+    its reader. With walk, an iterator over the kernel at t = 1, 2, ..., the
+    block's first read past the last walked t drops the values below lo and
+    steps the walk on to hi, so a pass walks each t once, holds one block's
+    window, and steps no kernel that it never reads. Without walk, and for
+    any t not held, a t is read alone by point and kept."""
+
+    def __init__(self, point: Callable[[int], int], walk: Iterator[int] | None = None):
+        self.point, self.walk = point, walk
+        self.lo = self.hi = self.t = 0  # the block's window, and the last t walked
+
+    def __missing__(self, t: int) -> int:
+        if self.walk is not None and self.t < t <= self.hi:
+            for s in [s for s in self if s < self.lo]:
+                del self[s]
+            if self.lo > self.t + 1:
+                next(islice(self.walk, self.lo - self.t - 2, None))  # steps to t = lo - 1
+            self.update(zip(range(max(self.lo, self.t + 1), self.hi + 1), self.walk))
+            self.t = self.hi
+            return self[t]
+        self[t] = value = self.point(t)
+        return value
+
+    def read(self, lo: int, hi: int) -> Callable[[int], int]:
+        self.lo, self.hi = lo, hi
+        return self.__getitem__
+
+
+def _kernels(ns: Sequence[int] = ()) -> tuple[_Kernel, _Kernel]:
+    """psi's and psi''s _Kernel for a pass over ns: walked when the largest n
+    is at most _WALK_RATIO times the count of ns, else read at each t alone."""
+    walk = bool(ns) and max(ns) <= _WALK_RATIO * len(ns)
+    return (_Kernel(_psi_rational, _psi_walked() if walk else None),
+            _Kernel(_trigamma, _trigamma_walked() if walk else None))
 
 
 def digamma_closed(x) -> float:
@@ -221,7 +281,8 @@ def digamma_diff(u, v) -> float:
     gamma always cancels; log 4 cancels whenever u and v have the same
     parity, leaving a single rational, rounded once, in that case.
     """
-    return _psi_diff(_twice(u), _twice(v))
+    tu, tv = _twice(u), _twice(v)
+    return _fixed(_psi_rational(tu) - _psi_rational(tv), tu % 2 - tv % 2)
 
 
 def trigamma_closed(x) -> float:

@@ -12,6 +12,7 @@ from ballratio import analysis as A
 from ballratio import ballvol as bv
 from ballratio import bounds as B
 from ballratio import gautschi as ga
+from ballratio import specfun as sf
 from ballratio.cli import main
 from ballratio.errors import BallRatioError, DomainError
 
@@ -157,6 +158,14 @@ def test_crossover_rejects_mismatch():
         A.crossover(B.W_UPPER_51, B.V_UPPER_ALZER, 10)
     with pytest.raises(DomainError):
         A.crossover(B.W_UPPER_MERKLE_Q, B.W_UPPER_51, 1)
+
+
+def test_crossover_refuses_a_bound_against_itself(monkeypatch):
+    # every n would be an exact tie, each sent to eval_bound_mp
+    monkeypatch.setattr(A, "_rows", None)  # refused before any work
+    for bid in (B.V_LOWER_D(2), B.W_UPPER_51):
+        with pytest.raises(ValueError, match="twice"):
+            A.crossover(bid, bid, 3000)
 
 
 def test_crossover_refuses_n_max_above_the_cap(monkeypatch):
@@ -460,26 +469,24 @@ def test_tally_matches_the_per_record_loop_over_many_blocks(monkeypatch):
 
 def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
     monkeypatch.setattr(B, "_BLOCK", 16)
-    # the psi columns record each element they compute
-    calls = {"psi_slope": [], "psi_diff": []}
-    for name in calls:
-        k, make = B._KERNEL_FUNCTIONS[name]
+    # the kernel function columns record each element they compute
+    calls = {"psi_slope": [], "psi_alpha": [], "trigamma": []}
 
-        def recording(read, name=name, make=make):
-            fn = make(read)
-            return lambda *args: calls[name].append(args) or fn(*args)
-        monkeypatch.setitem(B._KERNEL_FUNCTIONS, name, (k, recording))
+    def recording(*args, real=sf._kernel_functions):
+        return {name: lambda *a, name=name, fn=fn: calls[name].append(a) or fn(*a)
+                for name, fn in real(*args).items()}
+    monkeypatch.setattr(B, "_kernel_functions", recording)
     # each kernel's walk records the t it steps to, and a read alone its t
     steps = {"psi": [], "trigamma": []}
     reads = []
     for kernel in steps:
-        def stepped(kernel=kernel, walked=getattr(B, f"_{kernel}_walked")):
+        def stepped(kernel=kernel, walked=getattr(sf, f"_{kernel}_walked")):
             for t, value in enumerate(walked(), 1):
                 steps[kernel].append(t)
                 yield value
-        monkeypatch.setattr(B, f"_{kernel}_walked", stepped)
+        monkeypatch.setattr(sf, f"_{kernel}_walked", stepped)
     for name in ("_psi_rational", "_trigamma"):
-        monkeypatch.setattr(B, name, lambda t, real=getattr(B, name): reads.append(t) or real(t))
+        monkeypatch.setattr(sf, name, lambda t, real=getattr(sf, name): reads.append(t) or real(t))
     # each truncate loop records, per block of n, the orders whose factor or
     # summand it adds
     orders: dict = {}
@@ -498,11 +505,11 @@ def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
                       "sigma": {b: [1, 2, 3] for b in blocks(50)},
                       "s": {b: [0, 1, 2, 3] for b in blocks(50)},
                       "w": {b: [1, 2, 3] for b in blocks(50)}}
-    # lower-d's (psi((n+1)/2) + gamma)/(n-1) (pi^2/12 at n = 1) and upper-h's
-    # psi(n/2) - psi(3/2), each once per n; psi at t = 1..51 and psi' at
-    # t = 1..51 each walked once over the pass, and no t read alone
-    assert calls["psi_slope"] == [(n,) for n in range(1, 51)]
-    assert calls["psi_diff"] == [(n, 3) for n in range(1, 51)]
+    # lower-d's (psi((n+1)/2) + gamma)/(n-1) (pi^2/12 at n = 1), upper-h's
+    # psi(n/2) - alpha and lower-trigamma's psi'(n/2), each once per n; psi at
+    # t = 1..51 and psi' at t = 1..51 each walked once over the pass, and no
+    # t read alone
+    assert calls == {name: [(n,) for n in range(1, 51)] for name in calls}
     assert steps == {"psi": list(range(1, 52)), "trigamma": list(range(1, 52))}
     assert reads == []
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from ballratio import ballvol as bv
 from ballratio import bounds as B
+from ballratio import specfun as sf
 from ballratio.errors import DomainError
 
 
@@ -266,13 +267,16 @@ def test_mp_twin_is_within_1e_29_of_60_digits():
     import mpmath
     from types import SimpleNamespace
 
+    def psi(t):
+        return mpmath.digamma(mpmath.mpf(t) / 2)
+
     ref = SimpleNamespace(**{
         **vars(B.MP),
-        "psi_slope": B._psi_slope(mpmath.pi, lambda t: mpmath.digamma(mpmath.mpf(t) / 2)
-                                  + mpmath.euler),
-        "psi_diff": lambda tu, tv: (mpmath.digamma(mpmath.mpf(tu) / 2)
-                                    - mpmath.digamma(mpmath.mpf(tv) / 2)),
-        "trigamma": lambda t: mpmath.polygamma(1, mpmath.mpf(t) / 2),
+        # (psi((n+1)/2) + gamma)/(n-1), its limit pi^2/12 at n = 1
+        "psi_slope": lambda n: (mpmath.pi ** 2 / 12 if n == 1
+                                else (psi(n + 1) + mpmath.euler) / (n - 1)),
+        "psi_alpha": lambda n: psi(n) - psi(3),  # psi(n/2) - psi(3/2)
+        "trigamma": lambda n: mpmath.polygamma(1, mpmath.mpf(n) / 2),
     })
     for s in B.catalog((1, 2, 3, 7)):
         formula = B._BY_KEY[(s.target, s.id.kind)].formula
@@ -388,10 +392,11 @@ def test_columns_refuse_n_out_of_range_before_any_work(monkeypatch):
 
 
 def _refuse(monkeypatch, *names):
+    # refused in specfun, whose _kernels resolves the walks and point readers
     def refuse(*args):
         raise AssertionError(f"{names} called")
     for name in names:
-        monkeypatch.setattr(B, name, refuse)
+        monkeypatch.setattr(sf, name, refuse)
 
 
 def test_sparse_rows_walk_no_kernel(monkeypatch):
@@ -400,11 +405,13 @@ def test_sparse_rows_walk_no_kernel(monkeypatch):
     ids = [s.id for s in B.catalog() if s.target == "w"]
     ns = [30_000, 29_999, 12_345]
     assert list(B._rows(ids, ns)) == [[B.eval_bound(bid, n) for bid in ids] for n in ns]
+    with pytest.raises(AssertionError, match="called"):  # a dense list walks
+        next(B._rows(ids, range(1, 300)))
 
 
 def test_dense_rows_read_no_t_alone(monkeypatch):
-    # bounds --target v over the odd n <= 9999: psi walked once, psi(3/2)
-    # kept from the first block; the rows of a shuffled list are the same
+    # bounds --target v over the odd n <= 9999: psi walked once; the rows of
+    # a shuffled list are the same
     ids = [s.id for s in B.catalog() if s.target == "v"]
     odd = range(1, 10_000, 2)
     want = {n: [B.eval_bound(bid, n) for bid in ids] for n in (1, 3, 511, 513, 9999)}
@@ -413,16 +420,18 @@ def test_dense_rows_read_no_t_alone(monkeypatch):
     _refuse(monkeypatch, "_psi_rational", "_trigamma")
     rows = dict(zip(odd, B._rows(ids, odd)))
     assert {n: rows[n] for n in want} == want
+    with pytest.raises(AssertionError, match="called"):  # a sparse list reads alone
+        next(B._rows(ids, [30_000, 29_999, 12_345]))
 
 
 def test_a_walking_pass_holds_one_window():
     ids = [s.id for s in B.catalog()]
     ns = range(1, 5001)
-    kernels = B._kernels(ns)
+    kernels = sf._kernels(ns)
     for block in B._blocks(ns):
         for _ in B._columns(ids, block, kernels):
             pass
-        assert all(len(k) <= B._SERIES_T + B._BLOCK + 1 for k in kernels), block[0]
+        assert all(len(k) <= B._BLOCK + 1 for k in kernels), block[0]
     assert [k.t for k in kernels] == [5001, 5001]
 
 
@@ -459,7 +468,8 @@ def test_sharing_truncates_start_again_below_their_last_order():
 
 def test_sharing_psi_columns_follow_their_arguments():
     shared = B._sharing()
-    n = B._Column(range(1, 40))
-    for tv in (3, 5, 3, 5):
-        assert shared.psi_diff(n, tv) == B._COLUMNS.psi_diff(n, tv), tv
+    for name in ("psi_slope", "psi_alpha", "trigamma"):
+        for ns in (range(1, 40), range(2, 41), range(1, 40)):
+            want = [getattr(B.FLOAT, name)(n) for n in ns]
+            assert getattr(shared, name)(B._Column(ns)) == want, (name, ns[0])
 

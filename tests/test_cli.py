@@ -279,6 +279,13 @@ def test_crossover_needs_exactly_two_ids(capsys):
     assert rc == 2
 
 
+def test_crossover_of_a_bound_with_itself_exits_two(capsys):
+    rc, out, err = run_cli(
+        capsys, ["crossover", "--target", "v", "--ids", "lower-d:2,lower-d:2", "--n-max", "3000"])
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("ballratio: ")
+
+
 def test_negative_dimension_exits_three(capsys):
     rc, _, _ = run_cli(capsys, ["volume", "--n", "-2"])
     assert rc == 3

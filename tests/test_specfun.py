@@ -267,17 +267,22 @@ def test_float_parts_round_the_exact_parts_once():
         assert sf.digamma_diff(x, Fraction(3, 2)) == float(rational - r3) - (log4s - c3) * sf.LOG4
 
 
-def test_psi_gamma_is_the_difference_from_psi_one(monkeypatch):
-    # psi(1) = -gamma has a rational part of exactly 0, so psi(t/2) + gamma
-    # needs one table read and keeps the bits of psi(t/2) - psi(1)
-    assert sf._psi_rational(2) == 0
-    for t in [*range(1, 3001), *range(3001, 2 * bv.MAX_DIMENSION + 1, 997)]:
-        assert sf._psi_gamma(t) == sf._psi_diff(t, 2), t
+def test_psi_gamma_is_the_difference_from_psi_one():
+    # psi(1) = -gamma and alpha = psi(3/2) have rational parts of exactly 0
+    # and 2, so psi_slope's psi((n+1)/2) + gamma and psi_alpha's
+    # psi(n/2) - alpha each need one kernel read and keep the bits of the
+    # differences psi((n+1)/2) - psi(1) and psi(n/2) - psi(3/2)
+    assert sf._psi_rational(2) == 0 and sf._psi_rational(3) == 2 << 128
     reads = []
-    real = sf._psi_rational
-    monkeypatch.setattr(sf, "_psi_rational", lambda t: reads.append(t) or real(t))
-    sf._psi_gamma(1001)
-    assert reads == [1001]
+    fns = sf._kernel_functions(sf._fixed, math.pi,
+                               lambda t: reads.append(t) or sf._psi_rational(t))
+    for n in [*range(2, 3001), *range(3001, 2 * bv.MAX_DIMENSION, 997)]:
+        assert fns["psi_slope"](n) == sf.digamma_diff(Fraction(n + 1, 2), 1) / (n - 1), n
+        assert fns["psi_alpha"](n) == sf.digamma_diff(Fraction(n, 2), Fraction(3, 2)), n
+    reads.clear()
+    fns["psi_slope"](1000)
+    fns["psi_alpha"](1001)
+    assert reads == [1001, 1001]
 
 
 def test_psi_rational_rounds_the_exact_sum_to_nearest():

@@ -20,9 +20,10 @@ each tree (the order of the trees alternates from one run to the next):
     100000 (3 runs): `ratio_walk`, the catalog's bound values
     (bounds._columns block by block), and the whole `verify_tally`;
     decide/tally is the whole minus the other two. The catalog values run
-    as one pass, on the pass's kernels where the tree has them
-    (bounds._kernels); a tree whose kernels are tables builds them in the
-    warm-up instead, so its split leaves their walk out;
+    as one pass, on the pass's kernels where the tree has them (the reader
+    _kernels, looked up in specfun and in bounds, where older trees keep
+    it); a tree whose kernels are tables builds them in the warm-up
+    instead, so its split leaves their walk out;
   - (5 runs) µs per n of each catalog family in bounds._columns at n_max
     5000, all of its orders together, as one `_columns` call per block of
     one pass;
@@ -70,7 +71,14 @@ CLI_RUNS = (
 )
 MP_IDS = ("v:lower-d:2", "v:upper-h:2", "w:lower-trigamma", "w:upper-refined:1")
 
-SPLIT = r"""
+# the pass reader of the kernels: in specfun, in bounds in older trees, and
+# None in a tree whose kernels are tables
+KERNELS = r"""
+from ballratio import bounds, specfun
+pass_kernels = getattr(specfun, "_kernels", None) or getattr(bounds, "_kernels", None)
+"""
+
+SPLIT = KERNELS + r"""
 import json, sys, time
 from ballratio import analysis, bounds
 from ballratio.ballvol import ratio_walk
@@ -80,7 +88,7 @@ ids = [s.id for s in bounds.catalog()]
 
 
 def values():
-    kernels = (bounds._kernels(range(1, n_max + 1)),) if hasattr(bounds, "_kernels") else ()
+    kernels = (pass_kernels(range(1, n_max + 1)),) if pass_kernels else ()
     for block in bounds._blocks(range(1, n_max + 1)):
         for _ in bounds._columns(ids, block, *kernels):
             pass
@@ -98,7 +106,7 @@ out["decide_tally_s"] = out["verify_tally_s"] - out["ratio_walk_s"] - out["catal
 print(json.dumps(out))
 """
 
-PARTS = r"""
+PARTS = KERNELS + r"""
 import json, sys, time
 from ballratio import analysis, bounds
 
@@ -111,7 +119,7 @@ analysis.verify_tally([s.id for s in bounds.catalog()], 20_200)  # warm-up (as i
 out = {}
 for name, ids in families.items():
     t0 = time.perf_counter()
-    kernels = (bounds._kernels(range(1, 5001)),) if hasattr(bounds, "_kernels") else ()
+    kernels = (pass_kernels(range(1, 5001)),) if pass_kernels else ()
     for block in blocks:
         for _ in bounds._columns(ids, block, *kernels):
             pass
