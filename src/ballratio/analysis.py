@@ -7,16 +7,15 @@ for p != 0 they are not always correctly rounded (up to 2 ulp off for v
 and 1 ulp for w at n <= MAX_DIMENSION). A verification sweep reads them
 from one pass of ballvol.ratio_walk, which also decides Klein-Rota's
 w_n < 1 + 1/n at every n in integers; klein_rota_check reads the same
-walk. The sweep then walks n in blocks of bounds._BLOCK: in each
-block, every bound comes as one column of bounds._columns, which computes
-each truncate and psi term once per n for all of them (the psi and psi'
-kernels walked once over the sweep, specfun._kernels), and one generator
-decides sidedness column by column, with the tie scale taken once per n
-and target; the elementwise work runs in map and sum, not in a Python loop
-per (bound, n). `verify_bounds` keeps one record per (bound, n), bound by
-bound, while `verify_tally` streams per-bound counts and margins without
-building any record. `make_table` and `crossover` read the same columns
-per n through bounds._rows.
+walk. Beside it the sweep reads bounds._pass, the catalog's one block loop,
+which gives every bound as one column per block of n; one generator decides
+sidedness column by column, with the tie scale taken once per n and target,
+and the elementwise work runs in map and sum, not in a Python loop per
+(bound, n).
+`verify_bounds` keeps one record per (bound, n), bound by bound, while
+`verify_tally` streams per-bound counts and margins without building any
+record. `crossover` reads the same pass's columns, and `make_table` reads
+them per n through bounds._rows.
 Sharpness comparisons between two bounds are strict; when two doubles
 land within 1e-12 (relative) of each other the comparison is re-done at
 30 significant digits so that integer thresholds cannot flip through
@@ -28,15 +27,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import mpmath
 
 from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
-from .bounds import BoundId, _blocks, _columns, _rows, eval_bound_mp
+from .bounds import BoundId, _pass, _rows, eval_bound_mp
 from .errors import DomainError
 from .gautschi import _double, _dps, _least, _log_partial
-from .specfun import _kernels
 
 # sidedness slack: gap > -TIE_REL * scale counts as correct-sided, which
 # admits the one documented exact-equality case without admitting real flips
@@ -94,33 +92,33 @@ class VerifyTally:
 
 
 def _evaluate(ids: list[BoundId], n_max: int):
-    """For each block of n from 1 to n_max, from ratio_walk and _columns:
+    """For each block of n from 1 to n_max, from ratio_walk and _pass:
     whether Klein-Rota's w_n < 1 + 1/n holds at every n of the block, and, for
     each bound of ids, (index into ids, first n valid in the block, bound
-    values, exact values, gaps, margins, side_ok), column by column, margin
-    being gap / max(1, |exact|). The first valid n is the bound's min_n or
-    the block's first n, whichever is later; the columns of _columns cover
-    the whole block, so the n before it are sliced off. margins and side_ok
-    are iterators, to be read once. Sidedness is decided here alone."""
+    values, exact values, gaps, margins, side_ok), margin being gap /
+    max(1, |exact|), from the bound's min_n or the block's first n, whichever
+    is later. margins and side_ok are iterators, to be read once. Sidedness
+    is decided here alone."""
     lower = [bid.side == "lower" for bid in ids]
     targets = [bid.target for bid in ids]
     min_ns = [bid.min_n for bid in ids]
-    kernels = _kernels(range(1, n_max + 1))
-    for block in _blocks(ratio_walk(n_max)):
-        ns, v, w, klein = zip(*block)
-        exact = {"v": v, "w": w}
-        scales = {t: list(map(max, repeat(1.0), map(abs, ev))) for t, ev in exact.items()}
 
-        def decided(i, bv):
+    def decided(ns, exact, scales, columns):  # one block's, whenever they are read
+        for i, bv in columns:
             ev, scale = exact[targets[i]], scales[targets[i]]
             skip = max(min_ns[i] - ns[0], 0)  # the n below the bound's min_n lead the block
             if skip:
                 bv, ev, scale = bv[skip:], ev[skip:], scale[skip:]
             gaps = list(map(operator.sub, ev, bv) if lower[i] else map(operator.sub, bv, ev))
             ties = map(operator.mul, repeat(-TIE_REL), scale)
-            return (i, ns[0] + skip, bv, ev, gaps, map(operator.truediv, gaps, scale),
-                    map(operator.gt, gaps, ties))
-        yield all(klein), (decided(i, bv) for i, bv in _columns(ids, ns, kernels))
+            yield (i, ns[0] + skip, bv, ev, gaps, map(operator.truediv, gaps, scale),
+                   map(operator.gt, gaps, ties))
+    walk = ratio_walk(n_max)  # checks n_max first: an empty range would give no block
+    for ns, columns in _pass(ids, range(1, n_max + 1)):
+        _, v, w, klein = zip(*islice(walk, len(ns)))
+        exact = {"v": v, "w": w}
+        scales = {t: list(map(max, repeat(1.0), map(abs, ev))) for t, ev in exact.items()}
+        yield all(klein), decided(ns, exact, scales, columns)
 
 
 def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
@@ -187,9 +185,10 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
     if not start <= n_max <= MAX_DIMENSION:
         raise DomainError(f"n_max must lie in [{start}, {MAX_DIMENSION}], got {n_max}")
     upper = a.side == "upper"
-    ns = range(start, n_max + 1)
-    sharper = [n for n, (va, vb) in zip(ns, _rows((a, b), ns))
-               if _sharper_at(a, b, n, va, vb, upper)]
+    sharper = []
+    for ns, columns in _pass((a, b), range(start, n_max + 1)):
+        c = dict(columns)
+        sharper += [n for n, va, vb in zip(ns, c[0], c[1]) if _sharper_at(a, b, n, va, vb, upper)]
     threshold = None
     if sharper and sharper[-1] - sharper[0] + 1 == len(sharper):
         threshold = sharper[-1]

@@ -238,23 +238,26 @@ def ratio_walk(n_max: int) -> Iterator[tuple[int, float, float, bool]]:
     lo <= M_n 2^B <= hi is walked by lo' = floor((n+1) 2^2B / (2 hi)) and
     hi' = ceil((n+1) 2^2B / (2 lo)). Int true division rounds correctly and
     monotonically, so ends that round alike give M_n's double (W_n's alike);
-    ends that round apart raise rather than guessing."""
+    ends that round apart raise rather than guessing. An n_max outside
+    [1, MAX_DIMENSION] raises DomainError at the call, before any n is read."""
     if not 1 <= n_max <= MAX_DIMENSION:
         raise DomainError(f"n_max must lie in [1, {MAX_DIMENSION}], got {n_max}")
     bits = _WALK_BITS
     one = 1 << bits
-    lo = hi = one >> 1  # M_1 = 1/2
     pi_powers = ((math.pi**-1, math.pi**1), (math.pi**0, math.pi**-1))  # to_real's, by n & 1
-    for n in range(1, n_max + 1):
-        sq_lo, sq_hi = 2 * lo * lo, 2 * hi * hi
-        top = (n + 1) << 3 * bits  # W_n 2^B = (n+1) 2^3B / (2 (M_n 2^B)^2)
-        v, w = lo / one, top // sq_hi / one
-        if v != hi / one or w != -(-top // sq_lo) / one:
-            raise BallRatioError(f"the ratio walk's bracket is too wide at n={n}")
-        v_pi, w_pi = pi_powers[n & 1]
-        yield n, v * v_pi, w * w_pi, _klein_rota(n, sq_lo, sq_hi, bits)
-        top = (n + 1) << 2 * bits
-        lo, hi = top // (2 * hi), -(-top // (2 * lo))
+
+    def walk(lo, hi):
+        for n in range(1, n_max + 1):
+            sq_lo, sq_hi = 2 * lo * lo, 2 * hi * hi
+            top = (n + 1) << 3 * bits  # W_n 2^B = (n+1) 2^3B / (2 (M_n 2^B)^2)
+            v, w = lo / one, top // sq_hi / one
+            if v != hi / one or w != -(-top // sq_lo) / one:
+                raise BallRatioError(f"the ratio walk's bracket is too wide at n={n}")
+            v_pi, w_pi = pi_powers[n & 1]
+            yield n, v * v_pi, w * w_pi, _klein_rota(n, sq_lo, sq_hi, bits)
+            top = (n + 1) << 2 * bits
+            lo, hi = top // (2 * hi), -(-top // (2 * lo))
+    return walk(one >> 1, one >> 1)  # M_1 = 1/2
 
 
 def v_product(n: int, ctrl: TruncationControl | None = None) -> float:

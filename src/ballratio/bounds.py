@@ -17,33 +17,32 @@ each given as the int t = 2x. Three backends run the formulas:
   specfun's kernel functions, which read its t-keyed integer kernels at
   their points, values in units of 2^-128 rounded once, arranged so that
   gamma and log-4 contributions cancel exactly where they should.
-- the shared column backend (_columns, and _rows and verify on top of it):
-  FLOAT on a block of n at once, N a column of doubles and n one of ints.
-  A column applies + - * / ** elementwise through the operator builtins
-  and every function of FLOAT through map, so each element goes through
-  the very operation FLOAT does at its n, in the same order, and every
-  double is kept bit for bit; the loops run in C, so a block costs one
-  formula call per bound, not one per (bound, n). Every bound runs on the
-  whole block (its readers mask the n below its min_n). The m-truncates f,
-  sigma, s and w extend one another, one factor or one summand per order,
-  so each keeps its last pair of columns and goes on from it to a higher
-  order instead of starting again; each kernel function keeps its last
-  column. _columns asks in ascending m, so in each block every factor,
-  summand and psi value is computed once per n, and only if some bound
-  reads it. The kernel functions read the pass's pair of kernels
-  (specfun._kernels): a sweep, or a dense list of n, walks each kernel once
-  over the pass, and a sparse list reads each t at its point.
+- the shared column backend (_sharing): FLOAT on a block of n at once, N
+  a column of doubles and n one of ints. A column applies + - * / **
+  elementwise through the operator builtins and every function of FLOAT
+  through map, so each element goes through the very operation FLOAT does
+  at its n, in the same order, and every double is kept bit for bit; the
+  loops run in C, so a block costs one formula call per bound, not one per
+  (bound, n). Every bound runs on the whole block (its readers mask the n
+  below its min_n). The m-truncates f, sigma, s and w extend one another,
+  one factor or one summand per order, so each keeps its last pair of
+  columns and goes on from it to a higher order instead of starting again;
+  each kernel function keeps its last column.
 - MP (eval_bound_mp): FLOAT at 30 digits, for near-tie adjudication: pi,
   sqrt, exp and the division are mpmath's, and the same kernel functions
   read the same integer kernels at their points, each value rounded once at
   working precision.
+
+_pass, the one block loop (verify, crossover, and tables through _rows), asks
+the bounds in ascending m, so each factor, summand and psi value of a block
+is computed once per n, and only if some bound reads it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -54,7 +53,7 @@ import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
-from .specfun import _fixed, _Kernel, _kernel_functions, _kernels, _mp_fixed
+from .specfun import _fixed, _kernel_functions, _kernels, _mp_fixed
 
 _MP_DPS = 30  # digits of eval_bound_mp
 # Largest truncation order m. The truncates' integers grow with m, so the
@@ -162,16 +161,14 @@ _COLUMNS = SimpleNamespace(**{
 })
 
 
-def _sharing(kernels: tuple[_Kernel, _Kernel] | None = None,
-             lo: int = 1, hi: int = 1) -> SimpleNamespace:
+def _sharing(*readers: Callable[[int], int]) -> SimpleNamespace:
     """The column backend for the bounds of one block, which all run on the
     same n column. Each truncate keeps the last pair of columns it gave, with
     its order, and goes on from it when asked for a higher order; a lower
     order starts again. Each kernel function keeps its last argument and
     column. Nothing is kept beyond that one entry each. psi and psi' come
-    from kernels, the pass's (by default, each t read alone), which the
-    kernel functions read at t = n and n + 1, so in lo..hi, the block's least
-    n to its largest plus one."""
+    from readers, the block's pair from the pass's kernels (by default, each
+    t read at its point)."""
     def truncate(loop):
         k, p, q = 0, 1, 1  # the last order and its pair; 0 when none
 
@@ -193,7 +190,6 @@ def _sharing(kernels: tuple[_Kernel, _Kernel] | None = None,
             return value
         return get
 
-    readers = (kernel.read(lo, hi) for kernel in kernels or _kernels())
     return SimpleNamespace(**{
         **vars(_COLUMNS),
         **{name: truncate(getattr(_COLUMNS, name)) for name in ("f", "sigma", "s", "w")},
@@ -414,51 +410,50 @@ def eval_bound_mp(bid: BoundId, n: int):
         return fam.formula(MP, mpmath.mpf(n), n, bid.m)
 
 
-# n per block of _columns and of a verify sweep: enough that the elementwise
-# loops, not the formula calls, take most of a block's time, and few enough
-# that a sweep's peak memory stays near that of one n at a time
+# n per block of a pass: enough that the elementwise loops, not the formula
+# calls, take most of a block's time, and few enough that a sweep's peak
+# memory stays near that of one n at a time
 _BLOCK = 256
 
 
-def _blocks(items: Iterable) -> Iterator[list]:
-    """items in consecutive lists of _BLOCK, the last one shorter."""
-    it = iter(items)
-    while block := list(islice(it, _BLOCK)):
-        yield block
-
-
-def _columns(ids: Sequence[BoundId], ns: Sequence[int],
-             kernels: tuple[_Kernel, _Kernel] | None = None) -> Iterator[tuple[int, list[float]]]:
-    """For each bound of ids, as (index into ids, column): its formula at
-    every n of ns, in the order of ns. From the bound's min_n on these are its
-    eval_bound doubles; below it, finite values that the readers mask. The
-    bounds run on one _sharing backend in ascending m, so each truncate is
-    only ever extended; psi and psi' come from kernels, the pass's that ns
-    is a block of (by default, _kernels(ns)). An n outside [1, MAX_DIMENSION]
-    raises DomainError before any bound is evaluated."""
-    lo, hi = (min(ns), max(ns)) if ns else (1, 0)
-    if ns and not 1 <= lo <= hi <= MAX_DIMENSION:
-        raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {lo}..{hi}")
+def _pass(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[tuple[Sequence[int], Iterator]]:
+    """(block, columns) for each block of up to _BLOCK consecutive n of ns,
+    which ascend and are distinct; columns gives (i, the formula of ids[i] at
+    every n of the block: its eval_bound doubles from the bound's min_n on,
+    finite values that the readers mask below) for each bound, in ascending
+    m, on one _sharing backend per block. An n outside [1, MAX_DIMENSION]
+    raises DomainError before any bound is run."""
+    if ns and not 1 <= ns[0] <= ns[-1] <= MAX_DIMENSION:
+        raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {ns[0]}..{ns[-1]}")
     plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula)
                   for i, bid in enumerate(ids))
-    B = _sharing(kernels or _kernels(ns), lo, hi + 1)
-    n = _Column(ns)
-    N = _Column(map(float, ns))
-    for m, i, formula in plan:
-        yield i, formula(B, N, n, m)
+    kernels = _kernels(ns)
+
+    def run(B, N, n):  # a block's columns, on its backend and n whenever they are read
+        for m, i, formula in plan:
+            yield i, formula(B, N, n, m)
+    for start in range(0, len(ns), _BLOCK):
+        block = ns[start:start + _BLOCK]  # whose kernel functions read t = n and n + 1
+        B = _sharing(*(kernel.read(block[0], block[-1] + 1) for kernel in kernels))
+        yield block, run(B, _Column(map(float, block)), _Column(block))
 
 
 def _rows(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[list[float | None]]:
-    """_columns read per n: for each n of ns, the eval_bound double of every
-    bound of ids at n, None for a bound below its min_n; the blocks of ns
-    make one pass, which walks the kernels only where ns ascends."""
+    """For each n of ns, in the order of ns, the eval_bound double of every
+    bound of ids at n, None for a bound below its min_n. A list that ascends
+    without repeats is one _pass, given block by block; any other is one
+    _pass over its distinct n, ascending, its rows kept to the end, so a
+    dense list walks the kernels once in whatever order it is given."""
+    if not all(map(operator.lt, ns, islice(ns, 1, None))):
+        distinct = sorted(set(ns))
+        yield from map(dict(zip(distinct, _rows(ids, distinct))).__getitem__, ns)
+        return
     min_ns = [bid.min_n for bid in ids]
-    kernels = _kernels(ns)
-    for block in _blocks(ns):
-        least = min(block)
+    for block, pairs in _pass(ids, ns):
         columns: list = [None] * len(ids)
-        for i, column in _columns(ids, block, kernels):
-            if least < min_ns[i]:
+        for i, column in pairs:
+            if block[0] < min_ns[i]:
                 column = [v if k >= min_ns[i] else None for k, v in zip(block, column)]
             columns[i] = column
-        yield from map(list, zip(*columns))
+        for _, *row in zip(block, *columns):  # with block, no ids still gives a row per n
+            yield row

@@ -26,8 +26,9 @@ Each is read in one of two ways:
   from 0 at x = 1/2 and x = 1, and by psi'(x) = psi'(x-1) - 1/(x-1)^2 from
   pi^2/2 and pi^2/6 (pi^2/6 minus the sum would lose about log10(x) digits
   in double, but not at 2^-192). A sweep, and any list of n whose largest is
-  at most _WALK_RATIO times their count, walks each kernel once per pass,
-  carrying only its two parity sums and one block's values (_kernels);
+  at most _WALK_RATIO times their count, walks each kernel once per pass of
+  bounds._pass, the catalog's one block loop, carrying only its two parity
+  sums and one block's values (_kernels);
 - at a point, for every other read: the asymptotic series (DLMF 5.11.2,
   5.15.8) in integers of 2^-256, or below t = 257, where it would need more
   terms, a walk.
@@ -259,9 +260,10 @@ class _Kernel(dict):
         return self.__getitem__
 
 
-def _kernels(ns: Sequence[int] = ()) -> tuple[_Kernel, _Kernel]:
-    """psi's and psi''s _Kernel for a pass over ns: walked when the largest n
-    is at most _WALK_RATIO times the count of ns, else read at each t alone."""
+def _kernels(ns: Sequence[int]) -> tuple[_Kernel, _Kernel]:
+    """psi's and psi''s _Kernel for a pass of bounds._pass over ns: walked when
+    the largest n is at most _WALK_RATIO times the count of ns, else read at
+    each t alone."""
     walk = bool(ns) and max(ns) <= _WALK_RATIO * len(ns)
     return (_Kernel(_psi_rational, _psi_walked() if walk else None),
             _Kernel(_trigamma, _trigamma_walked() if walk else None))

@@ -162,14 +162,14 @@ def test_crossover_rejects_mismatch():
 
 def test_crossover_refuses_a_bound_against_itself(monkeypatch):
     # every n would be an exact tie, each sent to eval_bound_mp
-    monkeypatch.setattr(A, "_rows", None)  # refused before any work
+    monkeypatch.setattr(A, "_pass", None)  # refused before any work
     for bid in (B.V_LOWER_D(2), B.W_UPPER_51):
         with pytest.raises(ValueError, match="twice"):
             A.crossover(bid, bid, 3000)
 
 
 def test_crossover_refuses_n_max_above_the_cap(monkeypatch):
-    monkeypatch.setattr(A, "_rows", None)  # refused before any work
+    monkeypatch.setattr(A, "_pass", None)  # refused before any work
     with pytest.raises(DomainError):
         A.crossover(B.W_UPPER_51, B.W_UPPER_ALZER, bv.MAX_DIMENSION + 1)
 
@@ -320,6 +320,11 @@ def test_make_table_caller_column_order():
     assert rep.target == "v"
 
 
+def test_make_table_with_no_ids_keeps_one_row_per_n():
+    assert A.make_table("v", [], [5, 7, 5]).rows == [
+        [n, bv.v_exact(n).to_real()] for n in (5, 7, 5)]
+
+
 def test_make_table_partial_flag():
     ids = [B.W_UPPER_MERKLE_Q, B.W_UPPER_51]
     with pytest.raises(DomainError):
@@ -333,7 +338,10 @@ def test_make_table_partial_flag():
 def test_columns_cover_a_block_below_a_bounds_min_n():
     ids = [s.id for s in B.catalog((1, 2))]
     block = list(range(1, 9))
-    for i, column in B._columns(ids, block):
+    (got, columns), = B._pass(ids, block)
+    columns = dict(columns)
+    assert got == block and sorted(columns) == list(range(len(ids)))
+    for i, column in columns.items():
         # every bound has a finite value at every n of the block, below its
         # min_n too, where the readers mask it
         assert len(column) == len(block), ids[i].label()
@@ -345,6 +353,16 @@ def test_columns_cover_a_block_below_a_bounds_min_n():
     assert rep.rows[1][2] == B.eval_bound(B.W_UPPER_MERKLE_Q, 2)
     with pytest.raises(DomainError):
         B.eval_bound(B.W_UPPER_MERKLE_Q, 1)
+
+
+def test_evaluated_blocks_keep_their_n():
+    # read after the sweep has moved on, a block's values are still its own
+    blocks = list(A._evaluate([B.W_UPPER_51], 2 * B._BLOCK))
+    assert len(blocks) == 2
+    for k, (_, bounds) in enumerate(blocks):
+        (_, first, bv, ev, *_), = bounds
+        assert first == k * B._BLOCK + 1
+        assert (bv[0], ev[0]) == (B.eval_bound(B.W_UPPER_51, first), A.exact_target("w", first))
 
 
 def test_make_table_rejects_target_mismatch_and_bad_n():

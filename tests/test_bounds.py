@@ -3,6 +3,7 @@ sidedness, and the chain orderings."""
 
 import hashlib
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -386,9 +387,21 @@ def test_columns_refuse_n_out_of_range_before_any_work(monkeypatch):
     ids = [s.id for s in B.catalog()]
     for ns in ([bv.MAX_DIMENSION + 1], [5, bv.MAX_DIMENSION + 1, 7], [3, 0]):
         with pytest.raises(DomainError):
-            next(B._columns(ids, ns))
+            next(B._pass(ids, sorted(ns)))
         with pytest.raises(DomainError):
             next(B._rows(ids, ns))
+
+
+def test_pass_columns_keep_their_block():
+    # read after the pass has moved on, a block's columns are still its own
+    ids = [s.id for s in B.catalog((1, 2))]
+    passes = list(B._pass(ids, range(1, 2 * B._BLOCK + 1)))
+    assert len(passes) == 2
+    for block, columns in passes:
+        for i, column in columns:
+            valid = [n >= ids[i].min_n for n in block]
+            assert [v for v, ok in zip(column, valid) if ok] == [
+                B.eval_bound(ids[i], n) for n, ok in zip(block, valid) if ok], ids[i].label()
 
 
 def _refuse(monkeypatch, *names):
@@ -410,29 +423,40 @@ def test_sparse_rows_walk_no_kernel(monkeypatch):
 
 
 def test_dense_rows_read_no_t_alone(monkeypatch):
-    # bounds --target v over the odd n <= 9999: psi walked once; the rows of
-    # a shuffled list are the same
+    # bounds --target v over the odd n <= 9999, and over n = 2000 down to 1
+    # and shuffled: psi walked once, the rows in the caller's order
     ids = [s.id for s in B.catalog() if s.target == "v"]
     odd = range(1, 10_000, 2)
     want = {n: [B.eval_bound(bid, n) for bid in ids] for n in (1, 3, 511, 513, 9999)}
     shuffled = [9999, 1, 513, 3, 511, 3]
     assert list(B._rows(ids, shuffled)) == [want[n] for n in shuffled]
+    dense = dict(zip(range(1, 2001), B._rows(ids, range(1, 2001))))
+    shuffled = list(dense)
+    random.Random(23).shuffle(shuffled)
     _refuse(monkeypatch, "_psi_rational", "_trigamma")
     rows = dict(zip(odd, B._rows(ids, odd)))
     assert {n: rows[n] for n in want} == want
+    for ns in (range(2000, 0, -1), shuffled):
+        assert list(B._rows(ids, ns)) == [dense[n] for n in ns]
     with pytest.raises(AssertionError, match="called"):  # a sparse list reads alone
         next(B._rows(ids, [30_000, 29_999, 12_345]))
 
 
-def test_a_walking_pass_holds_one_window():
+def test_a_walking_pass_holds_one_window(monkeypatch):
     ids = [s.id for s in B.catalog()]
-    ns = range(1, 5001)
-    kernels = sf._kernels(ns)
-    for block in B._blocks(ns):
-        for _ in B._columns(ids, block, kernels):
+    built = []  # the kernels of each pass, as _pass builds them
+    monkeypatch.setattr(B, "_kernels", lambda ns: built.append(sf._kernels(ns)) or built[-1])
+    for block, columns in B._pass(ids, range(1, 5001)):
+        for _ in columns:
             pass
-        assert all(len(k) <= B._BLOCK + 1 for k in kernels), block[0]
-    assert [k.t for k in kernels] == [5001, 5001]
+        assert all(len(k) <= B._BLOCK + 1 for k in built[0]), block[0]
+    next(B._rows(ids, range(1, 5001)))  # an ascending list: its first block's rows
+    next(B._rows(ids, range(5000, 0, -1)))  # a descending list, as one pass
+    assert len(built) == 3  # one pair of kernels per pass
+    for kernels in built:
+        assert all(len(k) <= B._BLOCK + 1 for k in kernels)
+    assert [k.t for k in built[1]] == [B._BLOCK + 1] * 2  # walked no further
+    assert [k.t for k in built[0] + built[2]] == [5001] * 4
 
 
 def test_truncates_go_on_from_a_lower_order():

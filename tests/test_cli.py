@@ -222,6 +222,14 @@ def test_unknown_id_exits_two_with_valid_list(capsys):
     assert "upper-merkle-q" in err  # the message enumerates valid ids
 
 
+def test_bounds_with_no_ids_prints_one_row_per_n(capsys):
+    argv = ["bounds", "--target", "v", "--n", "5,7", "--ids", ","]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and "rows: 2" in out
+    rc, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert rc == 0 and json.loads(out)["summary"]["rows"] == 2
+
+
 def test_duplicate_ids_exit_two(capsys):
     rc, _, err = run_cli(
         capsys,
@@ -320,6 +328,12 @@ def test_dimension_above_cap_exits_three_at_once(capsys):
     rc, out, err = run_cli(capsys, ["volume", "--n", "1000000000"])
     assert rc == 3 and out == "" and "100000" in err
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_n_max_outside_the_range_exits_three(capsys):
+    for n_max in ("0", "100001"):  # an empty sweep is refused, not counted
+        rc, out, err = run_cli(capsys, ["verify", "--n-max", n_max])
+        assert rc == 3 and out == "" and err.count("ballratio:") == 1, n_max
 
 
 def test_crossover_above_cap_exits_three_at_once(capsys):

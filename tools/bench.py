@@ -17,18 +17,14 @@ each tree (the order of the trees alternates from one run to the next):
 - the in-process measurements of IN_PROCESS, each run a fresh interpreter
   that measures once after a warm-up:
   - the split of `verify_tally` at n_max 5000 (7 runs) and at the cap
-    100000 (3 runs): `ratio_walk`, the catalog's bound values
-    (bounds._columns block by block), and the whole `verify_tally`;
-    decide/tally is the whole minus the other two. The catalog values run
-    as one pass, on the pass's kernels where the tree has them (the reader
-    _kernels, looked up in specfun and in bounds, where older trees keep
-    it); a tree whose kernels are tables builds them in the warm-up
-    instead, so its split leaves their walk out;
-  - (5 runs) µs per n of each catalog family in bounds._columns at n_max
-    5000, all of its orders together, as one `_columns` call per block of
-    one pass;
-    and µs per `eval_bound_mp` call of each bound of MP_IDS, over the 200 n
-    from 20000 on;
+    100000 (3 runs): `ratio_walk`, the catalog's bound values (one pass of
+    the catalog's block loop, PASS), and the whole `verify_tally`;
+    decide/tally is the whole minus the other two;
+  - (5 runs) µs per n of each catalog family in one pass of the block loop
+    to n_max 5000, all of its orders together; µs per n of `bounds._rows`
+    over the v catalog at n = 1..20000 and at n = 20000..1 (a list given
+    in descending order); and µs per `eval_bound_mp` call of each bound of
+    MP_IDS, over the 200 n from 20000 on;
   - (5 runs) the products in tolerance mode, each group timed as a whole:
     `v_product` (eps 1e-6) and `w_product` (eps 1e-7) at n = 1..100,
     `joint_factor_result` (eps 1e-6) on the grid a = i/20 (i = 1..19),
@@ -71,14 +67,21 @@ CLI_RUNS = (
 )
 MP_IDS = ("v:lower-d:2", "v:upper-h:2", "w:lower-trigamma", "w:upper-refined:1")
 
-# the pass reader of the kernels: in specfun, in bounds in older trees, and
-# None in a tree whose kernels are tables
-KERNELS = r"""
+# the catalog's block loop, catalog_pass(ids, ns) -> (block, (index, column)
+# pairs): bounds._pass, or in older trees bounds._blocks and _columns on one
+# pair of specfun._kernels
+PASS = r"""
 from ballratio import bounds, specfun
-pass_kernels = getattr(specfun, "_kernels", None) or getattr(bounds, "_kernels", None)
+
+
+def catalog_pass(ids, ns):
+    if hasattr(bounds, "_pass"):
+        return bounds._pass(ids, ns)
+    kernels = specfun._kernels(ns)
+    return ((block, bounds._columns(ids, block, kernels)) for block in bounds._blocks(ns))
 """
 
-SPLIT = KERNELS + r"""
+SPLIT = PASS + r"""
 import json, sys, time
 from ballratio import analysis, bounds
 from ballratio.ballvol import ratio_walk
@@ -88,13 +91,12 @@ ids = [s.id for s in bounds.catalog()]
 
 
 def values():
-    kernels = (pass_kernels(range(1, n_max + 1)),) if pass_kernels else ()
-    for block in bounds._blocks(range(1, n_max + 1)):
-        for _ in bounds._columns(ids, block, *kernels):
+    for _, columns in catalog_pass(ids, range(1, n_max + 1)):
+        for _ in columns:
             pass
 
 
-analysis.verify_tally(ids, n_max)  # warm-up (kernel tables, where a tree has them)
+analysis.verify_tally(ids, n_max)  # warm-up
 out = {}
 for key, run in (("ratio_walk_s", lambda: list(ratio_walk(n_max))),
                  ("catalog_values_s", values),
@@ -106,24 +108,27 @@ out["decide_tally_s"] = out["verify_tally_s"] - out["ratio_walk_s"] - out["catal
 print(json.dumps(out))
 """
 
-PARTS = KERNELS + r"""
+PARTS = PASS + r"""
 import json, sys, time
 from ballratio import analysis, bounds
 
 families = {}
 for s in bounds.catalog():
     families.setdefault(f"{s.target}:{s.id.kind}", []).append(s.id)
-blocks = list(bounds._blocks(range(1, 5001)))
 mp_ns = range(20_000, 20_200)
 analysis.verify_tally([s.id for s in bounds.catalog()], 20_200)  # warm-up (as in SPLIT)
 out = {}
 for name, ids in families.items():
     t0 = time.perf_counter()
-    kernels = (pass_kernels(range(1, 5001)),) if pass_kernels else ()
-    for block in blocks:
-        for _ in bounds._columns(ids, block, *kernels):
+    for _, columns in catalog_pass(ids, range(1, 5001)):
+        for _ in columns:
             pass
     out[f"columns_us_per_n:{name}"] = (time.perf_counter() - t0) / 5000 * 1e6
+v_ids = [s.id for s in bounds.catalog() if s.target == "v"]
+for order, ns in (("ascending", range(1, 20_001)), ("descending", range(20_000, 0, -1))):
+    t0 = time.perf_counter()
+    list(bounds._rows(v_ids, ns))
+    out[f"rows_us_per_n:v:{order}"] = (time.perf_counter() - t0) / len(ns) * 1e6
 for name in sys.argv[1].split(","):
     target, _, label = name.partition(":")
     bid = bounds.parse_label(target, label)
