@@ -5,7 +5,21 @@ joint-factor product, keeps the ball-volume ratios v_n and w_n exact as
 rational-times-pi-power values, evaluates a catalog of lower/upper bounds
 for both, and machine-verifies the sidedness, ordering, and crossover
 claims attached to them.
+
+The package has two layers. The exact one (ballvol's oracle, the bound
+catalog, specfun's integer kernels, the sweeps, tables and crossovers) runs
+in integers and doubles; the product layer (gautschi and truncation) needs
+mpmath. The layering rule: importing the package or its CLI loads neither
+mpmath nor the product layer. Each product function outside gautschi
+(v_product, w_product, product_overtake_index, partials_below_upper_cap,
+digamma_series and the two minorant checks) imports what it needs where it
+runs, as do the three mpmath reads on shared paths (to_real at a pi power
+beyond 4, eval_bound_mp, and the psi series above t = 256), and this
+module gives the five names of the product layer on first access
+(PEP 562).
 """
+
+import importlib
 
 from .analysis import (
     BoundTally,
@@ -60,7 +74,6 @@ from .bounds import (
     parse_label,
 )
 from .errors import BallRatioError, DomainError, NonConvergenceError
-from .gautschi import ProductResult, gautschi_ratio, joint_factor, joint_factor_truncate
 from .specfun import (
     ALPHA,
     EULER_GAMMA,
@@ -70,9 +83,26 @@ from .specfun import (
     trigamma_closed,
     trigamma_lower_ineq,
 )
-from .truncation import TruncationControl
 
 __version__ = "0.1.0"
+
+# the product layer's names, each imported from its module on first access
+_PRODUCT_LAYER = {
+    "ProductResult": "gautschi",
+    "gautschi_ratio": "gautschi",
+    "joint_factor": "gautschi",
+    "joint_factor_truncate": "gautschi",
+    "TruncationControl": "truncation",
+}
+
+
+def __getattr__(name: str):
+    if name not in _PRODUCT_LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_PRODUCT_LAYER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALPHA",

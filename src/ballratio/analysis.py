@@ -29,12 +29,9 @@ import operator
 from dataclasses import dataclass
 from itertools import islice, repeat
 
-import mpmath
-
 from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
 from .bounds import BoundId, _pass, _rows, eval_bound_mp
 from .errors import DomainError
-from .gautschi import _double, _dps, _least, _log_partial
 
 # sidedness slack: gap > -TIE_REL * scale counts as correct-sided, which
 # admits the one documented exact-equality case without admitting real flips
@@ -195,8 +192,10 @@ def crossover(a: BoundId, b: BoundId, n_max: int) -> CrossoverResult:
     return CrossoverResult(a, b, a.target, frozenset(sharper), threshold)
 
 
-def _log_half_sqrt_pi(n: int, shift: int, dps: int) -> mpmath.mpf:
+def _log_half_sqrt_pi(n: int, shift: int, dps: int):
     """log(sqrt(pi(2n+shift))/2) at dps digits."""
+    import mpmath
+
     with mpmath.workdps(dps):
         return mpmath.log(mpmath.pi * (2 * n + shift)) / 2 - mpmath.log(2)
 
@@ -206,6 +205,8 @@ def _overtake_dps(x: float, r: int) -> int:
     search. _dps(x, r) leaves about 20 digits after the loggamma cancellation;
     what one factor step of log f_r, about c/(r(r+x)) >= c/(r+x)^2 with
     c = (x-1/2)/2, needs beyond those, with 5 guard digits, is added."""
+    from .gautschi import _dps
+
     dps = _dps(x, r)  # DomainError where r + x is beyond a double
     step = 2 * math.log10(r + x) - math.log10(x / 2 - 0.25)  # -log10 c/(r+x)^2
     return dps + max(0, math.ceil(step) + 5 - 20)
@@ -216,16 +217,25 @@ def product_overtake_index(n: int, r_max: int) -> int | None:
     above sqrt(pi(2n+1))/2, or None if no r <= r_max has it; one exists, as
     (pi v_n)^2 > pi(2n+1)/4. With c = n/4, d = (n-1)/2, the tail log f - log f_r
     lies in [c/d log1p(d/(r+1)), c/(d+1) log1p((d+1)/(r-1/2))]; solving each
-    end below D = log f - log target brackets r, which the partials check."""
+    end below D = log f - log target brackets r, which the partials check.
+    log f_r = lg(r+1) + lg(x+r) - lg(r+1/2) - lg(x+r+1/2) + F in loggamma, and
+    the part F = lg(x+1/2) + lg(1/2) - lg(x) free of r is taken once."""
+    import mpmath
+
+    from .gautschi import _double, _least
+
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     x = _double(n + 1, "n") / 2.0
     if r_max < 1:
         return None
-    target = _log_half_sqrt_pi(n, 1, _overtake_dps(x, r_max))
+    dps = _overtake_dps(x, r_max)
+    target = _log_half_sqrt_pi(n, 1, dps)
     lg, c, d = mpmath.loggamma, n / 4.0, (n - 1) / 2.0
-    with mpmath.workdps(_dps(x, r_max)):
-        room = float(lg(x + 0.5) + lg(mpmath.mpf(0.5)) - lg(x) - target)  # D
+    xm, half = mpmath.mpf(x), mpmath.mpf(0.5)  # so that r + 1/2 stays exact at any r
+    with mpmath.workdps(dps):
+        goal = target - (lg(xm + half) + lg(half) - lg(xm))  # log f_r - F must exceed it
+    room = float(-goal)  # D
     try:
         guess = (math.floor(d / math.expm1(room * d / c) if d else c / room),
                  math.floor(0.5 + (d + 1) / math.expm1(room * (d + 1) / c)) + 1)
@@ -234,13 +244,15 @@ def product_overtake_index(n: int, r_max: int) -> int | None:
 
     def above(r):
         with mpmath.workdps(_overtake_dps(x, r)):
-            return _log_partial(x, 0.5, r) > target
+            return lg(r + 1) + lg(xm + r) - lg(r + half) - lg(xm + r + half) > goal
     return _least(above, 0, r_max, guess)
 
 
 def partials_below_upper_cap(n: int, m_max: int) -> bool:
     """True iff every partial product up to m_max stays below
     sqrt(pi(2n+2))/2. Partials increase, so only the last one is checked."""
+    from .gautschi import _double, _dps, _log_partial
+
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     m, x = max(m_max, 0), _double(n + 1, "n") / 2.0

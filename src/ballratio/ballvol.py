@@ -30,12 +30,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .errors import BallRatioError, DomainError, NonConvergenceError
-from .gautschi import _cutoff, _double, _log_partial, joint_factor
-from .truncation import TruncationControl
+
+if TYPE_CHECKING:
+    from .truncation import TruncationControl
 
 # 34-digit brackets: PI_LO < pi < PI_HI. Wide enough to separate every
 # comparison the catalog needs; compare_to_fraction raises if they fail to.
@@ -101,6 +101,8 @@ def _quotient(num: int, den: int):
     round alike, so does num; and when num's rounded value over the leading
     bits b of den and over b + 1 rounds alike, so does its quotient by den.
     Else, all but never, both integers are read whole."""
+    import mpmath
+
     (a, sa), (b, sb) = _leading(num), _leading(den)
     top = mpmath.ldexp(a, sa - sb)
     x = top / b
@@ -123,6 +125,8 @@ class ExactBallValue:
         # big powers: fold pi into the mantissa at 128 bits before rounding,
         # else the two float factors can overflow/underflow pairwise (e.g.
         # Omega_200); man / 2^-exp is correctly rounded, subnormals included
+        import mpmath
+
         with mpmath.workprec(128):
             x = _quotient(self.mantissa.numerator, self.mantissa.denominator)
             man, exp = (x * mpmath.pi**p).man_exp
@@ -266,6 +270,8 @@ def v_product(n: int, ctrl: TruncationControl | None = None) -> float:
     Every factor exceeds 1, so truncation under-approximates v_n; in
     tolerance mode the shortfall is below eps in log scale.
     """
+    from .gautschi import _double, joint_factor
+
     if n < 1:
         raise DomainError(f"v_n needs n >= 1, got {n}")
     try:
@@ -276,10 +282,23 @@ def v_product(n: int, ctrl: TruncationControl | None = None) -> float:
 
 
 def _w_partial(n: int, m: int) -> float:
-    # the w factors are the quotient of the joint factors at x + 1/2 and x
+    """The m-th partial of w_n's product, the quotient f_m(x+1/2, 1/2) / f_m(x, 1/2)
+    of joint factors at x = (n+1)/2. Its log is
+    2 lg(x+m+1/2) - lg(x+m+1) - lg(x+m) + log w_n in loggamma, with
+    log w_n = lg(x+1) + lg(x) - 2 lg(x+1/2), at gautschi._dps(x+1/2, m) digits
+    or the caller's working digits where those are more."""
+    import mpmath
+
+    from .gautschi import _double, _dps
+
     x = _double(n + 1, "n") / 2.0
-    return float(mpmath.exp(mpmath.fsub(_log_partial(x + 0.5, 0.5, m),
-                                        _log_partial(x, 0.5, m), exact=True)))
+    lg = mpmath.loggamma
+    with mpmath.workdps(max(_dps(x + 0.5, m), mpmath.mp.dps)):
+        x = mpmath.mpf(x)
+        h = x + 0.5
+        log = (2 * lg(h + m) - lg(x + m + 1) - lg(x + m)
+               - 2 * lg(h) + lg(x + 1) + lg(x))
+    return float(mpmath.exp(log))
 
 
 def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
@@ -289,6 +308,9 @@ def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
     sum_{k>m} 1/((2k+n)^2 - 1) = 1/(2(2m+n+1)), so tolerance mode picks the
     least m >= 0 with that quantity below eps (m = 0 is the empty product, 1).
     """
+    from .gautschi import _cutoff, _double
+    from .truncation import TruncationControl
+
     if n < 1:
         raise DomainError(f"w_n needs n >= 1, got {n}")
     nf = _double(n, "n")

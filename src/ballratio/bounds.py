@@ -31,7 +31,8 @@ each given as the int t = 2x. Three backends run the formulas:
 - MP (eval_bound_mp): FLOAT at 30 digits, for near-tie adjudication: pi,
   sqrt, exp and the division are mpmath's, and the same kernel functions
   read the same integer kernels at their points, each value rounded once at
-  working precision.
+  working precision. It is built at the first eval_bound_mp call
+  (_mp_backend), so that importing the catalog loads no mpmath.
 
 _pass, the one block loop (verify, crossover, and tables through _rows), asks
 the bounds in ascending m, so each factor, summand and psi value of a block
@@ -40,6 +41,7 @@ is computed once per n, and only if some bound reads it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -48,8 +50,6 @@ from fractions import Fraction
 from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-import mpmath
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
@@ -117,14 +117,20 @@ FLOAT = SimpleNamespace(
     w=_w_trunc,
 )
 
-MP = SimpleNamespace(**{
-    **vars(FLOAT),
-    "pi": mpmath.pi,
-    "sqrt": mpmath.sqrt,
-    "exp": mpmath.exp,
-    "ratio": lambda p, q: mpmath.mpf(p) / q,
-    **_kernel_functions(_mp_fixed, mpmath.pi),
-})
+
+@functools.cache
+def _mp_backend() -> SimpleNamespace:
+    """MP, built at the first eval_bound_mp call: the catalog's one use of mpmath."""
+    import mpmath
+
+    return SimpleNamespace(**{
+        **vars(FLOAT),
+        "pi": mpmath.pi,
+        "sqrt": mpmath.sqrt,
+        "exp": mpmath.exp,
+        "ratio": lambda p, q: mpmath.mpf(p) / q,
+        **_kernel_functions(_mp_fixed, mpmath.pi),
+    })
 
 
 def _each(fn: Callable) -> Callable:
@@ -405,9 +411,11 @@ def eval_bound(bid: BoundId, n: int) -> float:
 
 def eval_bound_mp(bid: BoundId, n: int):
     """The bound's formula in mpmath at 30 digits, for near-tie adjudication."""
+    import mpmath
+
     fam = _family(bid, n)
     with mpmath.workdps(_MP_DPS):
-        return fam.formula(MP, mpmath.mpf(n), n, bid.m)
+        return fam.formula(_mp_backend(), mpmath.mpf(n), n, bid.m)
 
 
 # n per block of a pass: enough that the elementwise loops, not the formula

@@ -39,13 +39,18 @@ a rounding boundary, so each true value lies at least 2^-192 from one and
 anything within 2^-193 of it rounds as the walk does. The series is within
 2^-199: it stops below 2^-200, its first omitted term bounds the rest (each
 series envelops its function for x > 0), and its integer roundings add a
-few units of 2^-256. The premise is that mpmath's log(t), gamma and log 2
-at 288 bits are good to 2^-256.
+few units of 2^-256. Its constants, pi^2, gamma, log 2 and B_2..B_40, are
+integer literals, which the tests recompute in mpmath at 288 bits; the
+premise is that those and mpmath's log(t) at 288 bits are good to 2^-256.
 
 The minorant inequalities are decided in mpmath, apart from both kernels.
 The generic series of psi(x+1) is kept as an independent cross-check and
 for other arguments; its K-term partial sum is evaluated in closed form,
 psi(x+1) - psi(K+x+1) + psi(K+1), so any K costs the same.
+
+Importing this module loads no mpmath (the package's layering rule): the
+series' log(t), _mp_fixed, digamma_series and the minorants import it
+where they run.
 """
 
 from __future__ import annotations
@@ -54,14 +59,13 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
-
-import mpmath
-from mpmath.libmp import from_int, mpf_log, to_fixed
+from typing import TYPE_CHECKING
 
 from .ballvol import MAX_DIMENSION
 from .errors import DomainError
-from .gautschi import _cutoff, _double
-from .truncation import TruncationControl
+
+if TYPE_CHECKING:
+    from .truncation import TruncationControl
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 LOG4 = math.log(4.0)
@@ -121,12 +125,19 @@ _T_MAX = 2 * MAX_DIMENSION
 # their count (_kernels).
 _GUARD, _P, _STOP, _SERIES_T, _WALK_RATIO = 64, 256, 200, 256, 64
 _TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
-with mpmath.workprec(_P + 32):
-    _PI2 = int(mpmath.pi ** 2 * 2 ** (_GUARD + 128))  # pi^2 in units of 2^-192
-    _EULER, _LN2 = (int(c * 2 ** _P) for c in (mpmath.euler, mpmath.ln2))
+# floor(pi^2 2^192), floor(gamma 2^_P) and floor(log(2) 2^_P)
+_PI2 = 0x9de9e64df22ef2d256e26cd9808c1ac708566a3fe0d0a2286
+_EULER = 0x93c467e37db0c7a4d1be3f810152cb56a1cecc3af65cc0190c03df34709affbd
+_LN2 = 0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2b
 # (numerator, denominator) of B_2k and of -B_2k / (2k) for k = 1..20: the
 # coefficients of the series of psi' and of psi
-_TRIGAMMA_SERIES = tuple(tuple(map(int, mpmath.bernfrac(2 * k))) for k in range(1, 21))
+_TRIGAMMA_SERIES = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510),
+    (2577687858367, 6), (-26315271553053477373, 1919190), (2929993913841559, 6),
+    (-261082718496449122051, 13530),
+)
 _PSI_SERIES = tuple((-num, 2 * k * den) for k, (num, den) in enumerate(_TRIGAMMA_SERIES, 1))
 
 
@@ -183,6 +194,8 @@ def _psi_rational(t: int) -> int:
     rounded to nearest: psi(x) + gamma + (t % 2) log 4, with
     psi(x) = log x - 1/(2x) - sum_{k>=1} B_2k / (2k x^2k) (DLMF 5.11.2)."""
     def series(t):
+        from mpmath.libmp import from_int, mpf_log, to_fixed
+
         log = to_fixed(mpf_log(from_int(t), _P + 32), _P)  # floor(log(t) 2^_P)
         return log + (2 * (t % 2) - 1) * _LN2 + _EULER - (1 << _P) // t, 1 << _P, _PSI_SERIES
     return _point(t, _psi_walked, series)
@@ -204,6 +217,8 @@ def _fixed(units: int, log4s: int) -> float:
 
 def _mp_fixed(units: int, log4s: int):
     """A kernel value, units * 2^-128 - log4s * log 4, at working precision."""
+    import mpmath
+
     return mpmath.mpf(units) / _ONE - log4s * 2 * mpmath.ln2
 
 
@@ -296,6 +311,8 @@ def trigamma_closed(x) -> float:
 def _series_partial(x: float, terms: int) -> float:
     """-gamma + sum_{k=1}^{terms} x/(k(k+x)) = psi(x+1) - psi(terms+x+1) + psi(terms+1);
     the large digammas cancel under 3 digits for any double x, so 25 suffice."""
+    import mpmath
+
     with mpmath.workdps(25):
         x = mpmath.mpf(x)
         return float(mpmath.digamma(x + 1) - mpmath.digamma(terms + x + 1)
@@ -312,6 +329,9 @@ def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
     Convergence is O(1/K), so small tolerances at large x are expensive by
     nature; exceeding max_terms raises with the partial attached.
     """
+    from .gautschi import _cutoff, _double
+    from .truncation import TruncationControl
+
     xf = _double(x, "series argument")
     if not -1.0 < xf < math.inf:
         raise DomainError(f"series argument must be finite and exceed -1, got {x!r}")
@@ -329,6 +349,10 @@ def _minorant_check(x, sides: Callable) -> tuple[float, float, bool]:
     """The doubles of (lhs, rhs) = sides(x) at x > 0 and the verdict lhs < rhs,
     all from mpmath at 20 digits plus two per decade of x away from 1: each
     gap shrinks against its sides like x^-2 as x grows, like x or x^2 to 0."""
+    import mpmath
+
+    from .gautschi import _double
+
     xf = _double(x, "argument")
     if not 0.0 < xf < math.inf:
         raise DomainError(f"argument must be positive and finite, got {x!r}")
@@ -339,6 +363,8 @@ def _minorant_check(x, sides: Callable) -> tuple[float, float, bool]:
 
 def psi_lower_ineq(t) -> tuple[float, float, bool]:
     """Check log(t + 1/2) - 1/t < psi(t) at t > 0. Returns (lhs, rhs, holds)."""
+    import mpmath
+
     return _minorant_check(t, lambda x: (mpmath.log(x + 0.5) - 1 / x, mpmath.digamma(x)))
 
 
@@ -348,5 +374,7 @@ def trigamma_lower_ineq(x) -> tuple[float, float, bool]:
     Returns (lhs, rhs, holds) with lhs the elementary rational minorant and
     rhs = psi'(x).
     """
+    import mpmath
+
     return _minorant_check(x, lambda x: (1 / (x + 1) + 1 / (x * x) + 1 / (2 * (x + 1) ** 2),
                                          mpmath.polygamma(1, x)))

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from ballratio import analysis as A
 from ballratio import ballvol as bv
 from ballratio import bounds as B
-from ballratio import gautschi as ga
 from ballratio import specfun as sf
 from ballratio.cli import main
 from ballratio.errors import BallRatioError, DomainError
@@ -194,16 +193,21 @@ def test_overtake_indices_are_pinned_through_one_hundred():
 
 
 def test_overtake_takes_a_few_partials(monkeypatch):
-    calls = []
+    # three loggammas for the part of log f_r free of r, then four per partial
+    import mpmath
 
-    def counted(*args):
-        calls.append(args)
-        return ga._log_partial(*args)
-    monkeypatch.setattr(A, "_log_partial", counted)
+    calls = []
+    loggamma = mpmath.loggamma
+
+    def counted(z):
+        calls.append(z)
+        return loggamma(z)
+    monkeypatch.setattr(mpmath, "loggamma", counted)
     for n in range(1, 101):
         calls.clear()
         assert A.product_overtake_index(n, 10**7) is not None
-        assert len(calls) <= 4, n
+        partials, rest = divmod(len(calls) - 3, 4)
+        assert rest == 0 and partials <= 4, n
 
 
 def test_overtake_resolves_one_factor_step_at_large_r_max():

@@ -21,8 +21,14 @@ def test_split_runs_on_this_tree():
     split = _script(bench.SPLIT, "300")
     assert set(split) == {"ratio_walk_s", "catalog_values_s", "verify_tally_s",
                           "decide_tally_s"}
-    assert all(split[key] > 0 for key in ("ratio_walk_s", "catalog_values_s",
-                                          "verify_tally_s"))
+    assert all(split[key] > 0 for key in split)
+    # decide/tally is timed within one verify_tally, not from separate runs
+    assert split["decide_tally_s"] < split["verify_tally_s"]
+
+
+def test_cold_import_of_the_cli_loads_no_mpmath():
+    _, _, out = bench._child(str(ROOT / "src"), ["-c", bench.IMPORT_CLI])
+    assert out.strip() == "False"
 
 
 def test_ties_runs_on_this_tree():

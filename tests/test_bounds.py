@@ -272,7 +272,7 @@ def test_mp_twin_is_within_1e_29_of_60_digits():
         return mpmath.digamma(mpmath.mpf(t) / 2)
 
     ref = SimpleNamespace(**{
-        **vars(B.MP),
+        **vars(B._mp_backend()),
         # (psi((n+1)/2) + gamma)/(n-1), its limit pi^2/12 at n = 1
         "psi_slope": lambda n: (mpmath.pi ** 2 / 12 if n == 1
                                 else (psi(n + 1) + mpmath.euler) / (n - 1)),

@@ -28,6 +28,19 @@ def test_constants():
     assert 0.036 < sf.ALPHA < 0.037
 
 
+def test_kernel_constants_are_mpmaths_at_288_bits():
+    # the literals are the floors of pi^2 2^192, gamma 2^256 and log(2) 2^256,
+    # and B_2..B_40, as mpmath gives them
+    import mpmath
+
+    with mpmath.workprec(288):
+        assert sf._PI2 == int(mpmath.pi ** 2 * 2 ** 192)
+        assert sf._EULER == int(mpmath.euler * 2 ** sf._P)
+        assert sf._LN2 == int(mpmath.ln2 * 2 ** sf._P)
+    assert sf._TRIGAMMA_SERIES == tuple(tuple(map(int, mpmath.bernfrac(2 * k)))
+                                        for k in range(1, 21))
+
+
 def test_digamma_closed_spot_values():
     # psi(1) = -gamma and psi(3/2) = alpha + log4 - log4 hold bit-exactly
     # because the same float constants appear on both sides.

@@ -14,17 +14,21 @@ each tree (the order of the trees alternates from one run to the next):
   n = 100000 and 99999 and of `volume --n 100000`, the sparse reads at the
   cap; the wall time is taken with time.perf_counter around the child, and
   the peak resident set from os.wait4 of that child;
+- (IMPORT_RUNS runs) a cold `import ballratio.cli` in a fresh interpreter,
+  timed the same way, and whether it loaded mpmath;
 - the in-process measurements of IN_PROCESS, each run a fresh interpreter
   that measures once after a warm-up:
   - the split of `verify_tally` at n_max 5000 (7 runs) and at the cap
     100000 (3 runs): `ratio_walk`, the catalog's bound values (one pass of
-    the catalog's block loop, PASS), and the whole `verify_tally`;
-    decide/tally is the whole minus the other two;
+    the catalog's block loop, PASS), and the whole `verify_tally`; then
+    decide/tally, the loop of `verify_tally` over `analysis._evaluate`
+    itself: one more `verify_tally`, less the time that its two inputs,
+    the walk and the pass, take to make each block ahead of it;
   - (5 runs) µs per n of each catalog family in one pass of the block loop
     to n_max 5000, all of its orders together; µs per n of `bounds._rows`
     over the v catalog at n = 1..20000 and at n = 20000..1 (a list given
     in descending order); and µs per `eval_bound_mp` call of each bound of
-    MP_IDS, over the 200 n from 20000 on;
+    MP_IDS, over the 200 n from 20000 on, after one untimed call;
   - (5 runs) the products in tolerance mode, each group timed as a whole:
     `v_product` (eps 1e-6) and `w_product` (eps 1e-7) at n = 1..100,
     `joint_factor_result` (eps 1e-6) on the grid a = i/20 (i = 1..19),
@@ -65,6 +69,9 @@ CLI_RUNS = (
     ("bounds_w_100000", ["bounds", "--target", "w", "--n", "100000,99999"], 5),
     ("volume_100000", ["volume", "--n", "100000"], 5),
 )
+# a cold import of the CLI, which prints whether it loaded mpmath
+IMPORT_CLI = "import sys, ballratio.cli; print('mpmath' in sys.modules)"
+IMPORT_RUNS = 21
 MP_IDS = ("v:lower-d:2", "v:upper-h:2", "w:lower-trigamma", "w:upper-refined:1")
 
 # the catalog's block loop, catalog_pass(ids, ns) -> (block, (index, column)
@@ -83,11 +90,14 @@ def catalog_pass(ids, ns):
 
 SPLIT = PASS + r"""
 import json, sys, time
+from itertools import islice
 from ballratio import analysis, bounds
 from ballratio.ballvol import ratio_walk
 
 n_max = int(sys.argv[1])
 ids = [s.id for s in bounds.catalog()]
+clock = time.perf_counter
+making = [0.0]  # seconds spent making the inputs of analysis._evaluate
 
 
 def values():
@@ -96,15 +106,35 @@ def values():
             pass
 
 
+def made(items, size):
+    # the items, each size of them made ahead, on the clock of making
+    while True:
+        t0 = clock()
+        chunk = list(islice(items, size))
+        making[0] += clock() - t0
+        if not chunk:
+            return
+        yield from chunk
+
+
+def passed(ids, ns):
+    for block, columns in made(catalog_pass(ids, ns), 1):
+        yield block, made(columns, len(ids))
+
+
 analysis.verify_tally(ids, n_max)  # warm-up
 out = {}
 for key, run in (("ratio_walk_s", lambda: list(ratio_walk(n_max))),
                  ("catalog_values_s", values),
                  ("verify_tally_s", lambda: analysis.verify_tally(ids, n_max))):
-    t0 = time.perf_counter()
+    t0 = clock()
     run()
-    out[key] = time.perf_counter() - t0
-out["decide_tally_s"] = out["verify_tally_s"] - out["ratio_walk_s"] - out["catalog_values_s"]
+    out[key] = clock() - t0
+analysis.ratio_walk = lambda n_max: made(ratio_walk(n_max), bounds._BLOCK)
+analysis._pass = passed
+t0 = clock()
+analysis.verify_tally(ids, n_max)
+out["decide_tally_s"] = clock() - t0 - making[0]
 print(json.dumps(out))
 """
 
@@ -132,6 +162,7 @@ for order, ns in (("ascending", range(1, 20_001)), ("descending", range(20_000, 
 for name in sys.argv[1].split(","):
     target, _, label = name.partition(":")
     bid = bounds.parse_label(target, label)
+    bounds.eval_bound_mp(bid, mp_ns[0])  # warm-up: the first call may import mpmath
     t0 = time.perf_counter()
     for n in mp_ns:
         bounds.eval_bound_mp(bid, n)
@@ -249,6 +280,11 @@ def main() -> None:
             cell = raw[label].setdefault(name, {"wall_s": [], "peak_rss_mb": []})
             cell["wall_s"].append(wall)
             cell["peak_rss_mb"].append(rss / 1024)
+    loaded: dict = {label: set() for label, _ in trees}
+    for label, src in _alternating(trees, IMPORT_RUNS):
+        wall, _, out = _child(os.path.abspath(src), ["-c", IMPORT_CLI])
+        raw[label].setdefault("import_cli", {"wall_s": []})["wall_s"].append(wall)
+        loaded[label].add(out.strip() == "True")
     for name, argv, reps in IN_PROCESS:
         for label, src in _alternating(trees, reps):
             _, _, out = _child(os.path.abspath(src), ["-c", *argv])
@@ -271,6 +307,7 @@ def main() -> None:
                     "platform": platform.platform()},
         "trees": {label: {**{name: {metric: _summary(xs) for metric, xs in cell.items()}
                              for name, cell in cells.items()},
+                          "import_cli_mpmath_loaded": sorted(loaded[label]),
                           f"unresolved_{TIES_N_MAX}": ties[label]}
                   for label, cells in raw.items()},
     }
