@@ -6,16 +6,18 @@ the mantissa once and then multiply by math.pi**p, a second rounding, so
 for p != 0 they are not always correctly rounded (up to 2 ulp off for v
 and 1 ulp for w at n <= MAX_DIMENSION). A verification sweep reads them
 from one pass of ballvol.ratio_walk, which also decides Klein-Rota's
-w_n < 1 + 1/n at every n in integers; klein_rota_check reads the same
-walk. Beside it the sweep reads bounds._pass, the catalog's one block loop,
-which gives every bound as one column per block of n; one generator decides
+w_n < 1 + 1/n at every n from its w double, outside a guard of a few ulp
+(ballvol._klein_rota_holds); klein_rota_check reads the same walk. Beside
+it the sweep reads bounds._pass, the catalog's one block loop, which
+gives every bound as one column per block of n; one generator decides
 sidedness column by column, with the tie scale taken once per n and target,
 and the elementwise work runs in map and sum, not in a Python loop per
 (bound, n).
 `verify_bounds` keeps one record per (bound, n), bound by bound, while
 `verify_tally` streams per-bound counts and margins without building any
 record. `crossover` reads the same pass's columns, and `make_table` reads
-them per n through bounds._rows.
+them per n through bounds._rows, and the oracle through _exact, which walks
+a dense list by the kernels' rule (ballvol._walks).
 Sharpness comparisons between two bounds are strict; when two doubles
 land within 1e-12 (relative) of each other the comparison is re-done at
 30 significant digits so that integer thresholds cannot flip through
@@ -29,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from itertools import islice, repeat
 
-from .ballvol import MAX_DIMENSION, ratio_walk, v_exact, w_exact
+from .ballvol import MAX_DIMENSION, _check_dimension, _walks, ratio_walk, v_exact, w_exact
 from .bounds import BoundId, _pass, _rows, eval_bound_mp
 from .errors import DomainError
 
@@ -44,6 +46,15 @@ _RECHECK_REL = 1e-12
 def exact_target(target: str, n: int) -> float:
     """Double image of v_n or w_n."""
     return (v_exact(n) if target == "v" else w_exact(n)).to_real()
+
+
+def _exact(target: str, ns: list[int]) -> list[float]:
+    """exact_target at each n of ns, which ascend and are distinct: from one
+    ratio_walk to the last n where ballvol._walks(ns) says so, else at each n."""
+    if not _walks(ns):
+        return [exact_target(target, n) for n in ns]
+    at, k = set(ns), 1 if target == "v" else 2
+    return [row[k] for row in ratio_walk(ns[-1]) if row[0] in at]
 
 
 @dataclass(frozen=True)
@@ -265,12 +276,8 @@ def klein_rota_check(n_max: int) -> bool:
     return all(klein for *_, klein in ratio_walk(n_max))
 
 
-def make_table(
-    target: str,
-    ids: list[BoundId],
-    n_list: list[int],
-    partial: bool = False,
-) -> TableReport:
+def make_table(target: str, ids: list[BoundId], n_list: list[int],
+               partial: bool = False) -> TableReport:
     """Rows of (n, exact, bound values..., gaps...) in caller column order.
 
     Values are the eval_bound doubles, bit for bit. An n below some bound's
@@ -280,19 +287,20 @@ def make_table(
     for bid in ids:
         if bid.target != target:
             raise ValueError(f"bound {bid.label()} does not target {target}")
-    headers = ["n", "exact"]
-    headers += [bid.label() for bid in ids]
-    headers += [f"gap:{bid.label()}" for bid in ids]
+    labels = [bid.label() for bid in ids]
+    headers = ["n", "exact", *labels, *(f"gap:{label}" for label in labels)]
     lower = [bid.side == "lower" for bid in ids]
-    exact = []
     for n in n_list:
-        exact.append(exact_target(target, n))  # DomainError for n < 1 regardless of flag
+        _check_dimension(n, 1, f"{target}_n")  # before any work, regardless of flag
         if not partial:
             for bid in ids:
                 if n < bid.min_n:
                     raise DomainError(f"bound {bid.label()} needs n >= {bid.min_n}, got {n}")
+    distinct = sorted(set(n_list))
+    exact = dict(zip(distinct, _exact(target, distinct)))
     rows: list[list] = []
-    for n, ev, values in zip(n_list, exact, _rows(ids, n_list)):
+    for n, values in zip(n_list, _rows(ids, n_list)):
+        ev = exact[n]
         gaps = [None if bv is None else (ev - bv if low else bv - ev)
                 for bv, low in zip(values, lower)]
         rows.append([n, ev, *values, *gaps])

@@ -14,7 +14,9 @@ leaves every v_n mantissa an odd integer over a power of two or the
 reverse: it is in lowest terms without a gcd. Sweeps need no mantissa:
 `ratio_walk` follows M_n in v_n = M_n pi^p (p = 0 at odd n, -1 at even n),
 w_n = (n+1)/(2 M_n^2) pi^(-2p-1), by M_{n+1} = (n+1)/(2 M_n) as a bracket of
-fixed-point integers. No dimension above MAX_DIMENSION is accepted.
+fixed-point integers, and decides Klein-Rota's w_n < 1 + 1/n on its w double.
+Reads of many n walk by one rule (_walks), the kernels' in specfun too. No
+dimension above MAX_DIMENSION is accepted.
 
 Values stay exact and convert to float only at the edge, so gap
 measurements against bounds never inherit product-truncation error. The
@@ -27,7 +29,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -217,22 +219,32 @@ def w_exact(n: int) -> ExactBallValue:
 # (relative), far inside a double's rounding and the 1e-34 of the pi bracket.
 _WALK_BITS = 256
 
-# By n & 1: (num, den) of pi^q, q = 1 at even n and -1 at odd n, at the end
-# of the pi bracket that makes n pi^q largest, then at the one that makes it least
-_PI_ENDS = (((PI_HI.numerator, PI_HI.denominator), (PI_LO.numerator, PI_LO.denominator)),
-            ((PI_LO.denominator, PI_LO.numerator), (PI_HI.denominator, PI_HI.numerator)))
+# Reads of many n walk once (here, and specfun's kernels) when their largest
+# n is at most _WALK_RATIO times their count: a walk step costs about 4 us
+# here and 0.25 us per kernel, a point read 0.01-130 ms and 3-20 us.
+_WALK_RATIO = 64
+
+# Klein-Rota's w_n < 1 + 1/n is decided on doubles in [1, 2], one ulp 2^-52
+# apart, where 1 + 1/n - w is exact (Sterbenz). The walk's w is within 1.5
+# ulp of w_n, its stated error (1.09 at most over the whole walk; a priori
+# under 2.1 from three roundings and math.pi's error), and 1.0 + 1.0 / n is
+# within 1 ulp of 1 + 1/n: a difference beyond 4 ulp has the exact sign. The
+# exact one is at least 2.25e10 ulp at every n <= MAX_DIMENSION (measured).
+_KLEIN_ROTA_GUARD = 4 * 2.0**-52
 
 
-def _klein_rota(n: int, sq_lo: int, sq_hi: int, bits: int) -> bool:
-    """w_n < 1 + 1/n, i.e. n pi^q < 2 M_n^2, given sq_lo <= 2 (M_n 2^bits)^2
-    <= sq_hi. It holds if the low end says so against the far pi end, fails
-    if the high end says so against the near one, and raises otherwise."""
-    (far, far_den), (near, near_den) = _PI_ENDS[n & 1]
-    if (n * far) << 2 * bits < sq_lo * far_den:
-        return True
-    if (n * near) << 2 * bits >= sq_hi * near_den:
-        return False
-    raise BallRatioError(f"the ratio walk cannot decide w_n < 1 + 1/n at n={n}")
+def _walks(ns: Sequence[int]) -> bool:
+    """Whether reads at the distinct n of ns walk to the largest, not read each n."""
+    return bool(ns) and max(ns) <= _WALK_RATIO * len(ns)
+
+
+def _klein_rota_holds(n: int, w: float) -> bool:
+    """Klein-Rota's w_n < 1 + 1/n from w, a double within 1.5 ulp of w_n (ratio_walk's,
+    to_real's): the sign of 1 + 1/n - w beyond _KLEIN_ROTA_GUARD, else BallRatioError."""
+    gap = 1.0 + 1.0 / n - w
+    if abs(gap) <= _KLEIN_ROTA_GUARD:
+        raise BallRatioError(f"w_n = {w!r} is within the guard of 1 + 1/n at n={n}")
+    return gap > 0
 
 
 def ratio_walk(n_max: int) -> Iterator[tuple[int, float, float, bool]]:
@@ -258,7 +270,8 @@ def ratio_walk(n_max: int) -> Iterator[tuple[int, float, float, bool]]:
             if v != hi / one or w != -(-top // sq_lo) / one:
                 raise BallRatioError(f"the ratio walk's bracket is too wide at n={n}")
             v_pi, w_pi = pi_powers[n & 1]
-            yield n, v * v_pi, w * w_pi, _klein_rota(n, sq_lo, sq_hi, bits)
+            w *= w_pi
+            yield n, v * v_pi, w, _klein_rota_holds(n, w)
             top = (n + 1) << 2 * bits
             lo, hi = top // (2 * hi), -(-top // (2 * lo))
     return walk(one >> 1, one >> 1)  # M_1 = 1/2
@@ -309,17 +322,14 @@ def w_product(n: int, ctrl: TruncationControl | None = None) -> float:
     least m >= 0 with that quantity below eps (m = 0 is the empty product, 1).
     """
     from .gautschi import _cutoff, _double
-    from .truncation import TruncationControl
 
     if n < 1:
         raise DomainError(f"w_n needs n >= 1, got {n}")
     nf = _double(n, "n")
-    if ctrl is None:
-        ctrl = TruncationControl.tolerance()
     # 1/(2(2k+n+1)) as 0.25/(k+n/2+1/2): the same doubles, but 2k cannot
     # overflow to a bound of 0 at a budget near the largest double
     m = _cutoff(ctrl, lambda k: 0.25 / (k + nf / 2.0 + 0.5),
-                lambda: math.floor((1.0 / (2.0 * ctrl.eps) - nf - 1.0) / 2.0) + 1,
+                lambda eps: math.floor((1.0 / (2.0 * eps) - nf - 1.0) / 2.0) + 1,
                 lambda k: _w_partial(n, k),
                 f"w product at n={n} needs over {{}} factors", least=0)
     return _w_partial(n, m)

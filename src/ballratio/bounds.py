@@ -299,30 +299,15 @@ class BoundSpec:
     citation: str
 
 
-def V_LOWER_TRUNC(m: int) -> BoundId:
-    return BoundId("v", "lower-trunc", m)
-
-
-def V_LOWER_D(m: int) -> BoundId:
-    return BoundId("v", "lower-d", m)
-
-
+# the catalog's bounds by name; a parametric family's name takes its order m
+V_LOWER_TRUNC = functools.partial(BoundId, "v", "lower-trunc")
+V_LOWER_D = functools.partial(BoundId, "v", "lower-d")
 V_LOWER_BORGWARDT = BoundId("v", "lower-borgwardt")
 V_LOWER_ALZER = BoundId("v", "lower-alzer")
-
-
-def V_UPPER_H(m: int) -> BoundId:
-    return BoundId("v", "upper-h", m)
-
-
+V_UPPER_H = functools.partial(BoundId, "v", "upper-h")
 V_UPPER_ALZER = BoundId("v", "upper-alzer")
 V_UPPER_BORGWARDT = BoundId("v", "upper-borgwardt")
-
-
-def W_LOWER_TRUNC(m: int) -> BoundId:
-    return BoundId("w", "lower-trunc", m)
-
-
+W_LOWER_TRUNC = functools.partial(BoundId, "w", "lower-trunc")
 W_LOWER_TRIGAMMA = BoundId("w", "lower-trigamma")
 W_LOWER_443 = BoundId("w", "lower-443")
 W_LOWER_P = BoundId("w", "lower-p")
@@ -331,10 +316,7 @@ W_UPPER_51 = BoundId("w", "upper-51")
 W_UPPER_MERKLE = BoundId("w", "upper-merkle")
 W_UPPER_MERKLE_Q = BoundId("w", "upper-merkle-q")
 W_UPPER_ALZER = BoundId("w", "upper-alzer")
-
-
-def W_UPPER_REFINED(m: int) -> BoundId:
-    return BoundId("w", "upper-refined", m)
+W_UPPER_REFINED = functools.partial(BoundId, "w", "upper-refined")
 
 
 def family_labels(target: str) -> tuple[str, ...]:

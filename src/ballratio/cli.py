@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import analysis
-from .ballvol import omega_exact, v_exact, w_exact
+from .ballvol import omega_exact
 from .bounds import catalog, family_labels, parse_label
 from .errors import BallRatioError, DomainError
 
@@ -70,24 +70,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _text_cell(v) -> str:
+def _cell(v, none: str, no_yes: tuple[str, str], digits: int) -> str:
     if v is None:
-        return "-"
+        return none
     if isinstance(v, bool):
-        return "yes" if v else "no"
+        return no_yes[v]
     if isinstance(v, float):
-        return f"{v:.7g}"
+        return f"{v:.{digits}g}"
     return str(v)
+
+
+def _text_cell(v) -> str:
+    return _cell(v, "-", ("no", "yes"), 7)
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return _cell(v, "", ("false", "true"), 17)
 
 
 def _render_text(headers, rows, summary) -> str:
@@ -138,11 +136,8 @@ def cmd_volume(args) -> int:
     rows = []
     for n in args.n:
         om = omega_exact(n)
-        if n >= 1:
-            rows.append([n, om.symbolic(), om.to_real(),
-                         v_exact(n).to_real(), w_exact(n).to_real()])
-        else:
-            rows.append([n, om.symbolic(), om.to_real(), None, None])
+        ratios = [analysis.exact_target(t, n) if n >= 1 else None for t in ("v", "w")]
+        rows.append([n, om.symbolic(), om.to_real(), *ratios])
     query = {"command": "volume", "n": args.n}
     _emit(args.format, query, headers, rows, {"rows": len(rows)})
     return 0
@@ -243,12 +238,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except BallRatioError as exc:
+    except (BallRatioError, ValueError) as exc:
         print(f"ballratio: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"ballratio: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BallRatioError) else 2
 
 
 def run() -> None:

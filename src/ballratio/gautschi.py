@@ -74,14 +74,18 @@ def _least(pred, lo: int, hi: int, guess: tuple[int, int]) -> int | None:
     return hi
 
 
-def _cutoff(ctrl: TruncationControl, tail, guess, partial, what: str, least: int = 1) -> int:
-    """The term count ctrl asks for: ctrl.m in fixed mode, else the least
-    m >= least with tail(m) < eps, for tail decreasing in m. guess() claims
-    that m (max_terms if it cannot be computed); a wrong claim costs a few
-    more tail calls. A budget past the largest double is taken at that
-    double, cap, where the bound still holds. If tail misses eps at cap, so
-    does every m: NonConvergenceError carries terms=cap, tail(cap) and
-    partial(cap), and its message is what with cap in place of {}."""
+def _cutoff(ctrl: TruncationControl | None, tail, guess, partial, what: str,
+            least: int = 1) -> int:
+    """The term count ctrl asks for (None: the default tolerance): ctrl.m in
+    fixed mode, else the least m >= least with tail(m) < eps, for tail
+    decreasing in m. guess(eps) claims that m (max_terms if it cannot be
+    computed); a wrong claim costs a few more tail calls. A budget past the
+    largest double is taken at that double, cap, where the bound still
+    holds. If tail misses eps at cap, so does every m: NonConvergenceError
+    carries terms=cap, tail(cap) and partial(cap), and its message is what
+    with cap in place of {}."""
+    if ctrl is None:
+        ctrl = TruncationControl.tolerance()
     if ctrl.is_fixed:
         return ctrl.m
     eps, cap = ctrl.eps, min(ctrl.max_terms, _LARGEST_INT)
@@ -90,7 +94,7 @@ def _cutoff(ctrl: TruncationControl, tail, guess, partial, what: str, least: int
         raise NonConvergenceError(what.format(cap) + f" for eps={eps}", partial=partial(cap),
                                   tail_bound=bound, terms=cap)
     try:
-        g = guess()
+        g = guess(eps)
     except (OverflowError, ValueError, ZeroDivisionError):
         g = cap
     g = min(max(g, least), cap)
@@ -168,10 +172,8 @@ def _tail_bound(xf: float, af: float, m: int) -> float:
 def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductResult:
     """Evaluate f(x,a) under the given truncation policy, with diagnostics."""
     xf, af = _validate(x, a)
-    if ctrl is None:
-        ctrl = TruncationControl.tolerance()
     c = af * (xf + af - 1.0)
-    if not ctrl.is_fixed:
+    if ctrl is None or not ctrl.is_fixed:
         if c == 0.0:
             # x = 1 - a (or a = 0): every factor is exactly 1
             return ProductResult(value=1.0, terms_used=0, tail_bound=0.0)
@@ -182,7 +184,7 @@ def joint_factor_result(x, a, ctrl: TruncationControl | None = None) -> ProductR
     # m > a + s/expm1(eps s/c)
     s = 2.0 * af + xf - 1.0
     m = _cutoff(ctrl, lambda k: _tail_bound(xf, af, k),
-                lambda: math.floor(af + s / math.expm1(ctrl.eps * s / c)) + 1,
+                lambda eps: math.floor(af + s / math.expm1(eps * s / c)) + 1,
                 lambda k: float(mpmath.exp(_log_partial(xf, af, k))),
                 f"joint factor at x={xf}, a={af} needs over {{}} factors")
     return ProductResult(value=float(mpmath.exp(_log_partial(xf, af, m))), terms_used=m,

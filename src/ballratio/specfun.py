@@ -25,8 +25,8 @@ Each is read in one of two ways:
 - walked over t = 1, 2, ... in integers, by psi(x) = psi(x-1) + 1/(x-1)
   from 0 at x = 1/2 and x = 1, and by psi'(x) = psi'(x-1) - 1/(x-1)^2 from
   pi^2/2 and pi^2/6 (pi^2/6 minus the sum would lose about log10(x) digits
-  in double, but not at 2^-192). A sweep, and any list of n whose largest is
-  at most _WALK_RATIO times their count, walks each kernel once per pass of
+  in double, but not at 2^-192). A sweep, and any list of n dense by
+  ballvol._walks (the oracle's rule too), walks each kernel once per pass of
   bounds._pass, the catalog's one block loop, carrying only its two parity
   sums and one block's values (_kernels);
 - at a point, for every other read: the asymptotic series (DLMF 5.11.2,
@@ -61,7 +61,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .ballvol import MAX_DIMENSION
+from .ballvol import MAX_DIMENSION, _walks
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -120,10 +120,8 @@ _T_MAX = 2 * MAX_DIMENSION
 # A walk adds one term per t in units of 2^-192, floored: under 2^-174 of
 # error at the cap. A read of one t walks there up to _SERIES_T, and else
 # sums a series in units of 2^-_P to its first term below 2^-_STOP (17 terms
-# at t = 257). A walk step costs about 0.25 us and a point read 3-20 us, so
-# reads of many t walk once when their largest t is at most _WALK_RATIO times
-# their count (_kernels).
-_GUARD, _P, _STOP, _SERIES_T, _WALK_RATIO = 64, 256, 200, 256, 64
+# at t = 257). A pass walks or reads at points by ballvol._walks (_kernels).
+_GUARD, _P, _STOP, _SERIES_T = 64, 256, 200, 256
 _TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
 # floor(pi^2 2^192), floor(gamma 2^_P) and floor(log(2) 2^_P)
 _PI2 = 0x9de9e64df22ef2d256e26cd9808c1ac708566a3fe0d0a2286
@@ -276,10 +274,10 @@ class _Kernel(dict):
 
 
 def _kernels(ns: Sequence[int]) -> tuple[_Kernel, _Kernel]:
-    """psi's and psi''s _Kernel for a pass of bounds._pass over ns: walked when
-    the largest n is at most _WALK_RATIO times the count of ns, else read at
-    each t alone."""
-    walk = bool(ns) and max(ns) <= _WALK_RATIO * len(ns)
+    """psi's and psi''s _Kernel for a pass of bounds._pass over ns: walked
+    where ballvol._walks(ns) says so, as the ratio walk is, else read at each
+    t alone."""
+    walk = _walks(ns)
     return (_Kernel(_psi_rational, _psi_walked() if walk else None),
             _Kernel(_trigamma, _trigamma_walked() if walk else None))
 
@@ -330,16 +328,13 @@ def digamma_series(x, ctrl: TruncationControl | None = None) -> float:
     nature; exceeding max_terms raises with the partial attached.
     """
     from .gautschi import _cutoff, _double
-    from .truncation import TruncationControl
 
     xf = _double(x, "series argument")
     if not -1.0 < xf < math.inf:
         raise DomainError(f"series argument must be finite and exceed -1, got {x!r}")
-    if ctrl is None:
-        ctrl = TruncationControl.tolerance()
     if xf == 0.0:
         return -EULER_GAMMA  # every summand vanishes
-    terms = _cutoff(ctrl, lambda k: abs(xf) / k, lambda: math.ceil(abs(xf) / ctrl.eps),
+    terms = _cutoff(ctrl, lambda k: abs(xf) / k, lambda eps: math.ceil(abs(xf) / eps),
                     lambda k: _series_partial(xf, k),
                     f"digamma series at x={xf} needs over {{}} terms")
     return _series_partial(xf, terms)

@@ -23,21 +23,31 @@ class TruncationControl:
     eps: float = DEFAULT_EPS
     max_terms: int = DEFAULT_MAX_TERMS
 
-    @classmethod
-    def fixed(cls, m: int) -> "TruncationControl":
-        if m < 1:
-            raise DomainError(f"fixed truncation needs m >= 1, got {m}")
-        return cls(m=int(m))
+    def __post_init__(self) -> None:
+        """Every check, the classmethods' too; m and max_terms are kept as ints."""
+        for name, least in (("m", 0), ("max_terms", 1)):
+            value = getattr(self, name)
+            try:
+                whole = int(value)
+            except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
+                whole = None
+            if whole is None or whole != value or whole < least:
+                raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
+            object.__setattr__(self, name, whole)
+        if not self.eps > 0:
+            raise DomainError(f"tolerance must be positive, got {self.eps}")
 
     @classmethod
-    def tolerance(
-        cls, eps: float = DEFAULT_EPS, max_terms: int = DEFAULT_MAX_TERMS
-    ) -> "TruncationControl":
-        if not eps > 0:
-            raise DomainError(f"tolerance must be positive, got {eps}")
-        if max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-        return cls(eps=float(eps), max_terms=int(max_terms))
+    def fixed(cls, m: int) -> "TruncationControl":
+        ctrl = cls(m=m)
+        if not ctrl.is_fixed:
+            raise DomainError(f"fixed truncation needs m >= 1, got {m}")
+        return ctrl
+
+    @classmethod
+    def tolerance(cls, eps: float = DEFAULT_EPS,
+                  max_terms: int = DEFAULT_MAX_TERMS) -> "TruncationControl":
+        return cls(eps=float(eps), max_terms=max_terms)
 
     @property
     def is_fixed(self) -> bool:

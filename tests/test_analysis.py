@@ -263,24 +263,26 @@ def test_verify_decides_klein_rota_from_the_doubles(monkeypatch):
     assert ok is True and ok == A.klein_rota_check(2000)
 
 
-def test_klein_rota_decision_from_the_bracket():
-    bits = 8
-    # n = 10: w_n < 1 + 1/n reads 10 pi < 2 M_10^2, with M_10 = 256/63
-    sq = 2 * (256 * 2**bits // 63) ** 2, 2 * (-(-256 * 2**bits // 63)) ** 2
-    assert bv._klein_rota(10, *sq, bits)
-    # M = 1 violates it: 10 pi > 2
-    assert bv._klein_rota(10, 2 << 2 * bits, 2 << 2 * bits, bits) is False
-    # odd n: 11 / pi < 2 M^2 fails at M = 1, holds at M = 2
-    assert bv._klein_rota(11, 2 << 2 * bits, 2 << 2 * bits, bits) is False
-    assert bv._klein_rota(11, 8 << 2 * bits, 8 << 2 * bits, bits) is True
-    # a bracket from M = 1 to M = 4 straddles 10 pi = 2 M^2
-    with pytest.raises(BallRatioError):
-        bv._klein_rota(10, 2 << 2 * bits, 32 << 2 * bits, bits)
+def test_klein_rota_guard_decides_or_raises():
+    n = 10
+    bound = 1.0 + 1.0 / n  # the double the guard is measured from
+    assert bv._klein_rota_holds(n, A.exact_target("w", n)) is True  # at a point
+    assert bv._klein_rota_holds(1, 4 / math.pi) is True  # w_1 = 4/pi < 2
+    assert bv._klein_rota_holds(n, bound - 1e-6) is True
+    assert bv._klein_rota_holds(n, bound + 1e-6) is False
+    # doubles in [1, 2] are 2^-52 apart; the guard is 4 of them either side
+    assert bv._klein_rota_holds(n, bound - 5 * 2**-52) is True
+    assert bv._klein_rota_holds(n, bound + 5 * 2**-52) is False
+    for k in (-4, -1, 0, 1, 4):
+        with pytest.raises(BallRatioError, match="guard"):
+            bv._klein_rota_holds(n, bound + k * 2**-52)
 
 
 def test_klein_rota_violation_is_reported_not_raised(monkeypatch, capsys):
-    # with pi taken as 10 the claim 2 * 10 < 2 M_2^2 = 8 fails at n = 2
-    monkeypatch.setattr(bv, "_PI_ENDS", (((10, 1),) * 2, ((1, 10),) * 2))
+    # with pi taken as 10 the walk's w_2 = 3 pi / 8 reads 3.75 > 1 + 1/2; the
+    # guarded comparison decides on it (pi's power in w_n: 1 at even n, -1 at odd)
+    holds, scale = bv._klein_rota_holds, (10 / math.pi, math.pi / 10)
+    monkeypatch.setattr(bv, "_klein_rota_holds", lambda n, w: holds(n, w * scale[n & 1]))
     assert A.klein_rota_check(1) is True
     assert A.klein_rota_check(2) is False
     assert A.verify_tally([B.W_UPPER_51], 30).klein_rota_ok is False
@@ -375,6 +377,67 @@ def test_make_table_rejects_target_mismatch_and_bad_n():
     with pytest.raises(DomainError):
         A.make_table("w", [B.W_UPPER_51], [0], partial=True)
     assert A.make_table("w", [B.W_UPPER_51], []).rows == []
+
+
+def _point_rows(target, ids, ns):
+    """make_table's rows from exact_target and eval_bound at each n alone."""
+    rows = []
+    for n in ns:
+        ev = A.exact_target(target, n)
+        values = [B.eval_bound(bid, n) if n >= bid.min_n else None for bid in ids]
+        gaps = [None if x is None else (ev - x if bid.side == "lower" else x - ev)
+                for x, bid in zip(values, ids)]
+        rows.append([n, ev, *values, *gaps])
+    return rows
+
+
+def _refuse(monkeypatch, *targets):
+    def refuse(*args):
+        raise AssertionError("called")
+    for module, name in targets:
+        monkeypatch.setattr(module, name, refuse)
+
+
+_POINT_READS = ((A, "exact_target"), (A, "v_exact"), (A, "w_exact"),
+                (bv, "v_exact"), (bv, "w_exact"))
+
+
+def test_dense_table_walks_the_oracle(monkeypatch):
+    # bounds --target v over the odd n <= 9999: one walk, no exact value at a point
+    ids = [s.id for s in B.catalog() if s.target == "v"]
+    odd = list(range(1, 10_000, 2))
+    _refuse(monkeypatch, *_POINT_READS)
+    rows = A.make_table("v", ids, odd).rows
+    monkeypatch.undo()
+    assert [row[0] for row in rows] == odd
+    picks = [1, 3, 511, 513, 4097, 9999]
+    assert [rows[odd.index(n)] for n in picks] == _point_rows("v", ids, picks)
+
+
+def test_sparse_table_reads_the_oracle_at_points(monkeypatch):
+    ns = [30_000, 29_999, 12_345]
+    _refuse(monkeypatch, (A, "ratio_walk"), (bv, "ratio_walk"))
+    for target in ("v", "w"):
+        ids = [s.id for s in B.catalog() if s.target == target]
+        assert A.make_table(target, ids, ns).rows == _point_rows(target, ids, ns)
+
+
+@pytest.mark.parametrize("ns", [[5, 3, 300, 3, *range(299, 0, -7), 5],
+                                [30_000, 12_345, 30_000, 29_999, 1]])
+def test_table_rows_keep_the_callers_order(ns):
+    # a dense list and a sparse one, neither ascending, both with repeats
+    for target in ("v", "w"):
+        ids = [s.id for s in B.catalog() if s.target == target]
+        assert A.make_table(target, ids, ns, partial=True).rows == _point_rows(target, ids, ns)
+
+
+@pytest.mark.parametrize("bad", [0, bv.MAX_DIMENSION + 1])
+@pytest.mark.parametrize("partial", [False, True])
+def test_table_refuses_a_dimension_before_any_work(monkeypatch, bad, partial):
+    _refuse(monkeypatch, (A, "ratio_walk"), (A, "_rows"), *_POINT_READS)
+    for target in ("v", "w"):
+        with pytest.raises(DomainError, match=f"{target}_n needs"):
+            A.make_table(target, [], [*range(1, 300), bad], partial=partial)
 
 
 def test_auxiliary_inequality_frozen_edges():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ballratio import analysis as A
 from ballratio import ballvol as bv
 from ballratio import bounds as B
 from ballratio import specfun as sf
@@ -426,20 +427,23 @@ def test_dense_rows_read_no_t_alone(monkeypatch):
     # bounds --target v over the odd n <= 9999, and over n = 2000 down to 1
     # and shuffled: psi walked once, the rows in the caller's order
     ids = [s.id for s in B.catalog() if s.target == "v"]
+
+    def values(ns):  # the bound values of make_table's rows
+        return [row[2:2 + len(ids)] for row in A.make_table("v", ids, list(ns)).rows]
     odd = range(1, 10_000, 2)
     want = {n: [B.eval_bound(bid, n) for bid in ids] for n in (1, 3, 511, 513, 9999)}
     shuffled = [9999, 1, 513, 3, 511, 3]
-    assert list(B._rows(ids, shuffled)) == [want[n] for n in shuffled]
-    dense = dict(zip(range(1, 2001), B._rows(ids, range(1, 2001))))
+    assert values(shuffled) == [want[n] for n in shuffled]
+    dense = dict(zip(range(1, 2001), values(range(1, 2001))))
     shuffled = list(dense)
     random.Random(23).shuffle(shuffled)
     _refuse(monkeypatch, "_psi_rational", "_trigamma")
-    rows = dict(zip(odd, B._rows(ids, odd)))
+    rows = dict(zip(odd, values(odd)))
     assert {n: rows[n] for n in want} == want
     for ns in (range(2000, 0, -1), shuffled):
-        assert list(B._rows(ids, ns)) == [dense[n] for n in ns]
+        assert values(ns) == [dense[n] for n in ns]
     with pytest.raises(AssertionError, match="called"):  # a sparse list reads alone
-        next(B._rows(ids, [30_000, 29_999, 12_345]))
+        values([30_000, 29_999, 12_345])
 
 
 def test_a_walking_pass_holds_one_window(monkeypatch):

@@ -186,6 +186,18 @@ def test_verify_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2000_SHA256[fmt]
 
 
+# SHA-256 of `bounds --target v --format csv` over the odd n <= 9999, taken
+# when the table read v_n at each n alone; it reads them from one walk now
+BOUNDS_V_ODD_CSV_SHA256 = "cb9d0dc9d9e8facef0e643b258fdcd149bdde82a05b04ee23446a791a8fb4187"
+
+
+def test_dense_bounds_table_output_is_pinned(capsys):
+    odd = ",".join(map(str, range(1, 10_000, 2)))
+    rc, out, _ = run_cli(capsys, ["bounds", "--target", "v", "--n", odd, "--format", "csv"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_V_ODD_CSV_SHA256
+
+
 def test_verify_builds_no_records(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("verify built an EvaluationRecord")

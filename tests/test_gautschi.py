@@ -122,6 +122,31 @@ def test_a_budget_beyond_a_double_acts_as_a_large_one():
     assert ga.gautschi_ratio(3.0, 0.5, huge) == ga.gautschi_ratio(3.0, 0.5, large)
 
 
+_CONTROLS = {
+    "fixed": lambda k: TruncationControl.fixed(k),
+    "budget": lambda k: TruncationControl.tolerance(1e-6, max_terms=k),
+    "m": lambda k: TruncationControl(m=k),
+}
+
+
+@pytest.mark.parametrize("make, count, want", [
+    *((make, bad, None) for make in _CONTROLS
+      for bad in (2.5, float("nan"), float("inf"), -float("inf"))),
+    ("m", -3, None), ("fixed", 3.0, 3), ("budget", 1e15, 10**15),
+    ("fixed", 10**400, 10**400), ("budget", 10**400, 10**400), ("m", 0, 0),
+])
+def test_term_counts_are_whole_numbers_or_refused(make, count, want):
+    # a count that is not a whole number, or a negative m, is refused, never
+    # truncated or read as tolerance mode; a whole one is kept as an int
+    if want is None:
+        with pytest.raises(DomainError):
+            _CONTROLS[make](count)
+    else:
+        ctrl = _CONTROLS[make](count)
+        got = ctrl.max_terms if make == "budget" else ctrl.m
+        assert type(got) is int and got == want
+
+
 def _first_true(ok, lo: int, hi: int) -> int:
     """Least m in [lo, hi] with ok(m), for ok false then true and ok(hi) true."""
     while lo < hi:

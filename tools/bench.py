@@ -12,7 +12,8 @@ each tree (the order of the trees alternates from one run to the next):
   `queries` round holds: v and w tables at n = 30000 and 29999, and a
   near-tie crossover to 3000; and 5 runs each of v and w tables at
   n = 100000 and 99999 and of `volume --n 100000`, the sparse reads at the
-  cap; the wall time is taken with time.perf_counter around the child, and
+  cap; and 5 runs of a v table over the odd n <= 9999, a dense table; the
+  wall time is taken with time.perf_counter around the child, and
   the peak resident set from os.wait4 of that child;
 - (IMPORT_RUNS runs) a cold `import ballratio.cli` in a fresh interpreter,
   timed the same way, and whether it loaded mpmath;
@@ -20,7 +21,7 @@ each tree (the order of the trees alternates from one run to the next):
   that measures once after a warm-up:
   - the split of `verify_tally` at n_max 5000 (7 runs) and at the cap
     100000 (3 runs): `ratio_walk`, the catalog's bound values (one pass of
-    the catalog's block loop, PASS), and the whole `verify_tally`; then
+    the catalog's block loop, `bounds._pass`), and the whole `verify_tally`; then
     decide/tally, the loop of `verify_tally` over `analysis._evaluate`
     itself: one more `verify_tally`, less the time that its two inputs,
     the walk and the pass, take to make each block ahead of it;
@@ -68,27 +69,15 @@ CLI_RUNS = (
     ("bounds_v_100000", ["bounds", "--target", "v", "--n", "100000,99999"], 5),
     ("bounds_w_100000", ["bounds", "--target", "w", "--n", "100000,99999"], 5),
     ("volume_100000", ["volume", "--n", "100000"], 5),
+    ("bounds_v_odd_9999", ["bounds", "--target", "v", "--n",
+                           ",".join(map(str, range(1, 10_000, 2)))], 5),
 )
 # a cold import of the CLI, which prints whether it loaded mpmath
 IMPORT_CLI = "import sys, ballratio.cli; print('mpmath' in sys.modules)"
 IMPORT_RUNS = 21
 MP_IDS = ("v:lower-d:2", "v:upper-h:2", "w:lower-trigamma", "w:upper-refined:1")
 
-# the catalog's block loop, catalog_pass(ids, ns) -> (block, (index, column)
-# pairs): bounds._pass, or in older trees bounds._blocks and _columns on one
-# pair of specfun._kernels
-PASS = r"""
-from ballratio import bounds, specfun
-
-
-def catalog_pass(ids, ns):
-    if hasattr(bounds, "_pass"):
-        return bounds._pass(ids, ns)
-    kernels = specfun._kernels(ns)
-    return ((block, bounds._columns(ids, block, kernels)) for block in bounds._blocks(ns))
-"""
-
-SPLIT = PASS + r"""
+SPLIT = r"""
 import json, sys, time
 from itertools import islice
 from ballratio import analysis, bounds
@@ -101,7 +90,7 @@ making = [0.0]  # seconds spent making the inputs of analysis._evaluate
 
 
 def values():
-    for _, columns in catalog_pass(ids, range(1, n_max + 1)):
+    for _, columns in bounds._pass(ids, range(1, n_max + 1)):
         for _ in columns:
             pass
 
@@ -118,7 +107,7 @@ def made(items, size):
 
 
 def passed(ids, ns):
-    for block, columns in made(catalog_pass(ids, ns), 1):
+    for block, columns in made(bounds._pass(ids, ns), 1):
         yield block, made(columns, len(ids))
 
 
@@ -138,7 +127,7 @@ out["decide_tally_s"] = clock() - t0 - making[0]
 print(json.dumps(out))
 """
 
-PARTS = PASS + r"""
+PARTS = r"""
 import json, sys, time
 from ballratio import analysis, bounds
 
@@ -150,7 +139,7 @@ analysis.verify_tally([s.id for s in bounds.catalog()], 20_200)  # warm-up (as i
 out = {}
 for name, ids in families.items():
     t0 = time.perf_counter()
-    for _, columns in catalog_pass(ids, range(1, 5001)):
+    for _, columns in bounds._pass(ids, range(1, 5001)):
         for _ in columns:
             pass
     out[f"columns_us_per_n:{name}"] = (time.perf_counter() - t0) / 5000 * 1e6
