@@ -10,9 +10,11 @@ w_n < 1 + 1/n at every n from its w double, outside a guard of a few ulp
 (ballvol._klein_rota_holds); klein_rota_check reads the same walk. Beside
 it the sweep reads bounds._pass, the catalog's one block loop, which
 gives every bound as one column per block of n; one generator decides
-sidedness column by column, with the tie scale taken once per n and target,
-and the elementwise work runs in map and sum, not in a Python loop per
-(bound, n).
+sidedness column by column, with the tie column taken once per block and
+target. A column whose smallest margin is positive is "ok" throughout with
+no comparison (at n <= 5000 every column but v:upper-alzer's first, the
+exact tie at n = 1), and the elementwise work runs in map, min and sum, not
+in a Python loop per (bound, n).
 `verify_bounds` keeps one record per (bound, n), bound by bound, while
 `verify_tally` streams per-bound counts and margins without building any
 record. `crossover` reads the same pass's columns, and `make_table` reads
@@ -103,30 +105,38 @@ def _evaluate(ids: list[BoundId], n_max: int):
     """For each block of n from 1 to n_max, from ratio_walk and _pass:
     whether Klein-Rota's w_n < 1 + 1/n holds at every n of the block, and, for
     each bound of ids, (index into ids, first n valid in the block, bound
-    values, exact values, gaps, margins, side_ok), margin being gap /
-    max(1, |exact|), from the bound's min_n or the block's first n, whichever
-    is later. margins and side_ok are iterators, to be read once. Sidedness
-    is decided here alone."""
+    values, exact values, gaps, margins, the smallest margin, side_ok),
+    margin being gap / max(1, |exact|), from the bound's min_n or the block's
+    first n, whichever is later; inf is the smallest of no margin. side_ok is
+    an iterator, to be read once. Sidedness is decided here alone: a block
+    whose smallest margin is > 0 is "ok" throughout, and only in the others
+    is each gap compared with its tie, -TIE_REL max(1, |exact|), which is
+    taken once per block and target."""
     lower = [bid.side == "lower" for bid in ids]
     targets = [bid.target for bid in ids]
     min_ns = [bid.min_n for bid in ids]
 
-    def decided(ns, exact, scales, columns):  # one block's, whenever they are read
+    def decided(ns, exact, scales, ties, columns):  # one block's, whenever they are read
         for i, bv in columns:
-            ev, scale = exact[targets[i]], scales[targets[i]]
+            t = targets[i]
+            ev, scale, tie = exact[t], scales[t], ties[t]
             skip = max(min_ns[i] - ns[0], 0)  # the n below the bound's min_n lead the block
             if skip:
-                bv, ev, scale = bv[skip:], ev[skip:], scale[skip:]
+                bv, ev, scale, tie = bv[skip:], ev[skip:], scale[skip:], tie[skip:]
             gaps = list(map(operator.sub, ev, bv) if lower[i] else map(operator.sub, bv, ev))
-            ties = map(operator.mul, repeat(-TIE_REL), scale)
-            yield (i, ns[0] + skip, bv, ev, gaps, map(operator.truediv, gaps, scale),
-                   map(operator.gt, gaps, ties))
+            margins = list(map(operator.truediv, gaps, scale))
+            low = min(margins, default=math.inf)
+            # a margin > 0 is a gap > 0 > tie, as scale >= 1: all "ok", with no comparison
+            ok = repeat(True, len(gaps)) if low > 0 else map(operator.gt, gaps, tie)
+            yield i, ns[0] + skip, bv, ev, gaps, margins, low, ok
     walk = ratio_walk(n_max)  # checks n_max first: an empty range would give no block
     for ns, columns in _pass(ids, range(1, n_max + 1)):
         _, v, w, klein = zip(*islice(walk, len(ns)))
         exact = {"v": v, "w": w}
         scales = {t: list(map(max, repeat(1.0), map(abs, ev))) for t, ev in exact.items()}
-        yield all(klein), decided(ns, exact, scales, columns)
+        ties = {t: list(map(operator.mul, repeat(-TIE_REL), scale))
+                for t, scale in scales.items()}
+        yield all(klein), decided(ns, exact, scales, ties, columns)
 
 
 def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
@@ -134,7 +144,7 @@ def verify_bounds(ids: list[BoundId], n_max: int) -> list[EvaluationRecord]:
     bound by bound in ids order."""
     records: list[list[EvaluationRecord]] = [[] for _ in ids]
     for _, bounds in _evaluate(ids, n_max):
-        for i, first, bv, ev, gaps, _, ok in bounds:
+        for i, first, bv, ev, gaps, _, _, ok in bounds:
             records[i] += map(EvaluationRecord, range(first, first + len(bv)),
                               repeat(ids[i]), bv, ev, gaps, ok)
     return [r for per_bound in records for r in per_bound]
@@ -150,13 +160,13 @@ def verify_tally(ids: list[BoundId], n_max: int) -> VerifyTally:
     klein_ok = True
     for klein, bounds in _evaluate(ids, n_max):
         klein_ok = klein_ok and klein
-        for i, first, bv, _, _, margins, ok in bounds:
+        for i, first, bv, _, _, margins, low, ok in bounds:
             if not bv:
                 continue
-            margins = list(margins)
-            low = min(margins)  # the first smallest, as a strict < keeps it
             checked[i] += len(bv)
             ok_count[i] += sum(ok)
+            # the first smallest: index finds the block's first, a strict < keeps
+            # an earlier block's
             if argmin_n[i] is None or low < min_margin[i]:
                 min_margin[i], argmin_n[i] = low, first + margins.index(low)
     tallies = {bid: BoundTally(c, k, low, at)

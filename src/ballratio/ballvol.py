@@ -215,12 +215,14 @@ def w_exact(n: int) -> ExactBallValue:
 
 
 # Fixed-point bits of ratio_walk. Each step widens the bracket of M_n by
-# about one unit in the last place: at the cap it is near 1e-74 wide
-# (relative), far inside a double's rounding and the 1e-34 of the pi bracket.
-_WALK_BITS = 256
+# about one unit in the last place: over the whole walk to the cap it is at
+# most 411,467 units of 2^-128 wide (W_n's at most 6,524), about 3e-36
+# relative, far inside a double's rounding. 96 bits still give every double
+# at every n; 80 bits raise at n = 78479 (measured).
+_WALK_BITS = 128
 
 # Reads of many n walk once (here, and specfun's kernels) when their largest
-# n is at most _WALK_RATIO times their count: a walk step costs about 4 us
+# n is at most _WALK_RATIO times their count: a walk step costs about 3 us
 # here and 0.25 us per kernel, a point read 0.01-130 ms and 3-20 us.
 _WALK_RATIO = 64
 
@@ -251,29 +253,35 @@ def ratio_walk(n_max: int) -> Iterator[tuple[int, float, float, bool]]:
     """(n, v_n, w_n, w_n < 1 + 1/n) for n = 1..n_max in order, with v_n and
     w_n as doubles, bit for bit those of ExactBallValue.to_real.
 
-    lo <= M_n 2^B <= hi is walked by lo' = floor((n+1) 2^2B / (2 hi)) and
-    hi' = ceil((n+1) 2^2B / (2 lo)). Int true division rounds correctly and
-    monotonically, so ends that round alike give M_n's double (W_n's alike);
-    ends that round apart raise rather than guessing. An n_max outside
-    [1, MAX_DIMENSION] raises DomainError at the call, before any n is read."""
+    lo <= M_n 2^B <= hi is walked by lo' = floor((n+1) 2^(2B-1) / hi) and
+    hi' = ceil((n+1) 2^(2B-1) / lo), and W_n = M_{n+1} / M_n lies between
+    floor(lo' 2^B / hi) and ceil(hi' 2^B / lo). float(int) rounds correctly
+    and monotonically, so ends that round alike give M_n's double (W_n's
+    alike); ends that round apart raise rather than guessing. An n_max
+    outside [1, MAX_DIMENSION] raises DomainError at the call, before any n
+    is read."""
     if not 1 <= n_max <= MAX_DIMENSION:
         raise DomainError(f"n_max must lie in [1, {MAX_DIMENSION}], got {n_max}")
     bits = _WALK_BITS
     one = 1 << bits
-    pi_powers = ((math.pi**-1, math.pi**1), (math.pi**0, math.pi**-1))  # to_real's, by n & 1
+    # to_real's pi powers, by n & 1, times 2^-B: exact, so float(end) times
+    # one of them is end / 2^B times the power, rounded once
+    pi_powers = tuple((math.pi**p * 2.0**-bits, math.pi**q * 2.0**-bits)
+                      for p, q in ((-1, 1), (0, -1)))
 
     def walk(lo, hi):
         for n in range(1, n_max + 1):
-            sq_lo, sq_hi = 2 * lo * lo, 2 * hi * hi
-            top = (n + 1) << 3 * bits  # W_n 2^B = (n+1) 2^3B / (2 (M_n 2^B)^2)
-            v, w = lo / one, top // sq_hi / one
-            if v != hi / one or w != -(-top // sq_lo) / one:
+            top = (n + 1) << 2 * bits - 1  # M_{n+1} 2^B = (n+1) 2^(2B-1) / (M_n 2^B)
+            next_lo, next_hi = top // hi, -(-top // lo)
+            # W_n = M_{n+1} / M_n, bracketed by the ends of both brackets
+            w_lo, w_hi = (next_lo << bits) // hi, -(-(next_hi << bits) // lo)
+            v, w = float(lo), float(w_lo)
+            if v != float(hi) or w != float(w_hi):
                 raise BallRatioError(f"the ratio walk's bracket is too wide at n={n}")
             v_pi, w_pi = pi_powers[n & 1]
             w *= w_pi
             yield n, v * v_pi, w, _klein_rota_holds(n, w)
-            top = (n + 1) << 2 * bits
-            lo, hi = top // (2 * hi), -(-top // (2 * lo))
+            lo, hi = next_lo, next_hi
     return walk(one >> 1, one >> 1)  # M_1 = 1/2
 
 

@@ -17,6 +17,14 @@ DEFAULT_EPS = 1e-6
 DEFAULT_MAX_TERMS = 10**8
 
 
+def _shown(value) -> str:
+    """repr(value), or its type alone for a number past int's str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} past the digit limit"
+
+
 @dataclass(frozen=True)
 class TruncationControl:
     m: int = 0  # fixed mode takes m >= 1 terms; tolerance mode leaves it 0
@@ -24,7 +32,8 @@ class TruncationControl:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
-        """Every check, the classmethods' too; m and max_terms are kept as ints."""
+        """Every check, the classmethods' too; m and max_terms are kept as ints,
+        eps as a float."""
         for name, least in (("m", 0), ("max_terms", 1)):
             value = getattr(self, name)
             try:
@@ -32,10 +41,16 @@ class TruncationControl:
             except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
                 whole = None
             if whole is None or whole != value or whole < least:
-                raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
+                raise DomainError(f"{name} must be a whole number >= {least}, "
+                                  f"got {_shown(value)}")
             object.__setattr__(self, name, whole)
-        if not self.eps > 0:
-            raise DomainError(f"tolerance must be positive, got {self.eps}")
+        try:
+            eps = float(self.eps)
+        except (TypeError, ValueError, OverflowError) as exc:  # not a number, beyond a double
+            raise DomainError(f"tolerance must be a positive double: {exc}") from None
+        if not eps > 0:
+            raise DomainError(f"tolerance must be positive, got {eps}")
+        object.__setattr__(self, "eps", eps)
 
     @classmethod
     def fixed(cls, m: int) -> "TruncationControl":
@@ -47,7 +62,7 @@ class TruncationControl:
     @classmethod
     def tolerance(cls, eps: float = DEFAULT_EPS,
                   max_terms: int = DEFAULT_MAX_TERMS) -> "TruncationControl":
-        return cls(eps=float(eps), max_terms=max_terms)
+        return cls(eps=eps, max_terms=max_terms)
 
     @property
     def is_fixed(self) -> bool:

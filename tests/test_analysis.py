@@ -72,6 +72,27 @@ def test_tally_margins():
     assert t.min_margin == 0.0 and t.argmin_n == 1  # v_1 = 1/2 exactly
 
 
+def test_a_flip_is_found_in_a_block_of_positive_margins(monkeypatch):
+    # upper-51 moved to w_n at three n of the second block: just under it, by
+    # less than the tie (ok); onto it (ok); and under it beyond the tie (a
+    # violation). Every other margin of that block stays positive
+    moved = {300: 1 - 1e-14, 301: 1.0, 302: 1 - 1e-9}
+    real = A._pass
+
+    def moving(ids, ns):
+        for block, columns in real(ids, ns):
+            yield block, ((i, [A.exact_target("w", n) * moved[n] if n in moved else x
+                               for n, x in zip(block, column)]) for i, column in columns)
+    monkeypatch.setattr(A, "_pass", moving)
+    n_max = 2 * B._BLOCK
+    t = A.verify_tally([B.W_UPPER_51], n_max).bounds[B.W_UPPER_51]
+    assert (t.checked, t.ok, t.argmin_n) == (n_max, n_max - 1, 302)
+    assert -1.1e-9 < t.min_margin < -0.9e-9
+    records = A.verify_bounds([B.W_UPPER_51], n_max)
+    assert [r.n for r in records if not r.side_ok] == [302]
+    assert [r.n for r in records if r.gap <= 0] == [300, 301, 302]
+
+
 def test_tally_of_unchecked_bound_and_domain():
     ids = [s.id for s in B.catalog()]
     t = A.verify_tally(ids, 1).bounds[B.W_UPPER_MERKLE_Q]  # needs n >= 2
@@ -621,3 +642,19 @@ def test_verify_records_are_pinned():
         h.update(f"{r.n} {r.bound.target} {r.bound.label()} {r.bound_value!r} "
                  f"{r.exact_value!r} {r.gap!r} {r.side_ok}\n".encode())
     assert h.hexdigest() == _VERIFY_300_RECORDS_SHA256
+
+
+# SHA-256 of one line "target:label checked ok min_margin argmin_n" per bound
+# of verify_tally(full catalog, 63000), min_margin by repr; taken when every
+# (bound, n) was compared with its tie. From n = 54083 (w:upper-refined:2) on,
+# blocks hold records whose margin is not positive, so the comparison path
+# runs beyond the exact tie at n = 1
+_TALLY_63000_SHA256 = "6e2380ce6368dec43b56c19dc9e07e06556c4713cdb4b71882c66dd88fe12a63"
+
+
+def test_verify_tally_is_pinned_where_margins_reach_zero():
+    tally = A.verify_tally([s.id for s in B.catalog()], 63_000)
+    text = "".join(f"{bid.target}:{bid.label()} {t.checked} {t.ok} {t.min_margin!r} {t.argmin_n}\n"
+                   for bid, t in tally.bounds.items())
+    assert tally.klein_rota_ok
+    assert hashlib.sha256(text.encode()).hexdigest() == _TALLY_63000_SHA256

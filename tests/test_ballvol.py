@@ -265,6 +265,17 @@ def test_ratio_walk_doubles_are_pinned_to_the_cap():
             == "407c8de1a789ab8e4fa235eb4c9e3ecd905ff8b778def196c8941e2ed91ae93e")
 
 
+def test_ratio_walk_keeps_its_doubles_with_32_bits_fewer(monkeypatch):
+    # the precision margin of _WALK_BITS: 32 bits fewer still give the pin
+    # above at every n to the cap (80 bits raise at n = 78479)
+    monkeypatch.setattr(bv, "_WALK_BITS", bv._WALK_BITS - 32)
+    walked = list(bv.ratio_walk(bv.MAX_DIMENSION))
+    blob = b"".join(struct.pack(f"<{len(walked)}d", *(row[k] for row in walked))
+                    for k in (1, 2))
+    assert (hashlib.sha256(blob).hexdigest()
+            == "407c8de1a789ab8e4fa235eb4c9e3ecd905ff8b778def196c8941e2ed91ae93e")
+
+
 def test_ratio_walk_raises_on_a_bracket_too_narrow(monkeypatch):
     # 16 bits leave M_n = 8/3 at n = 4 (and W_3 = 32/9) with ends that
     # round to different doubles

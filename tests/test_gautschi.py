@@ -147,6 +147,23 @@ def test_term_counts_are_whole_numbers_or_refused(make, count, want):
         assert type(got) is int and got == want
 
 
+@pytest.mark.parametrize("eps", [10**400, -(10**400), "x", None, float("nan"), 0, -1e-6])
+def test_tolerance_that_no_double_holds_is_refused(eps):
+    # an eps beyond a double, not a number, or not positive is refused as the
+    # term counts are, never left to float() to raise
+    with pytest.raises(DomainError):
+        TruncationControl.tolerance(eps)
+
+
+def test_refused_numbers_past_the_digit_limit_still_raise_domain_error():
+    # the message that names a refused number must not fail to print it
+    huge = -(10**5000)
+    for make in (TruncationControl, TruncationControl.fixed, _CONTROLS["budget"],
+                 TruncationControl.tolerance):
+        with pytest.raises(DomainError):
+            make(huge)
+
+
 def _first_true(ok, lo: int, hi: int) -> int:
     """Least m in [lo, hi] with ok(m), for ok false then true and ok(hi) true."""
     while lo < hi:

@@ -19,9 +19,10 @@ each tree (the order of the trees alternates from one run to the next):
   timed the same way, and whether it loaded mpmath;
 - the in-process measurements of IN_PROCESS, each run a fresh interpreter
   that measures once after a warm-up:
-  - the split of `verify_tally` at n_max 5000 (7 runs) and at the cap
-    100000 (3 runs): `ratio_walk`, the catalog's bound values (one pass of
-    the catalog's block loop, `bounds._pass`), and the whole `verify_tally`; then
+  - the split of `verify_tally` at n_max 5000 and at the cap 100000 (7
+    runs each: 3 cannot resolve the parts at the cap): `ratio_walk`, the
+    catalog's bound values (one pass of the catalog's block loop,
+    `bounds._pass`), and the whole `verify_tally`; then
     decide/tally, the loop of `verify_tally` over `analysis._evaluate`
     itself: one more `verify_tally`, less the time that its two inputs,
     the walk and the pass, take to make each block ahead of it;
@@ -196,7 +197,7 @@ ks = json.loads(sys.argv[2])
 counts = {key: dict.fromkeys(names, 0)
           for key in ["slack_only", *(f"within_{k}_ulp" for k in ks)]}
 for _, columns in analysis._evaluate(ids, int(sys.argv[1])):
-    for i, _, _, exact, gaps, _, ok in columns:
+    for i, _, _, exact, gaps, *_, ok in columns:
         counts["slack_only"][names[i]] += sum(o and g <= 0 for o, g in zip(ok, gaps))
         ulps = [abs(g) / math.ulp(e) for e, g in zip(exact, gaps)]
         for k in ks:
@@ -218,7 +219,7 @@ sys.exit(code not in (0, 1))  # 1: the suite ran, and some tests failed
 # (name, arguments after -c, runs per tree) of the in-process measurements
 IN_PROCESS = (
     ("split_5000", [SPLIT, "5000"], 7),
-    ("split_100000", [SPLIT, "100000"], 3),
+    ("split_100000", [SPLIT, "100000"], 7),
     ("parts", [PARTS, ",".join(MP_IDS)], 5),
     ("products", [PRODUCTS], 5),
 )
