@@ -9,12 +9,14 @@ from one pass of ballvol.ratio_walk, which also decides Klein-Rota's
 w_n < 1 + 1/n at every n from its w double, outside a guard of a few ulp
 (ballvol._klein_rota_holds); klein_rota_check reads the same walk. Beside
 it the sweep reads bounds._pass, the catalog's one block loop, which
-gives every bound as one column per block of n; one generator decides
+gives every bound as one column per block of n, each made by one list
+comprehension compiled from the bound's formula; one generator decides
 sidedness column by column, with the tie column taken once per block and
 target. A column whose smallest margin is positive is "ok" throughout with
-no comparison (at n <= 5000 every column but v:upper-alzer's first, the
-exact tie at n = 1), and the elementwise work runs in map, min and sum, not
-in a Python loop per (bound, n).
+no comparison and is counted by its length (at n <= 5000 every column but
+v:upper-alzer's first, the exact tie at n = 1), and the decisions'
+elementwise work runs in map, min and sum, not in a Python loop per
+(bound, n).
 `verify_bounds` keeps one record per (bound, n), bound by bound, while
 `verify_tally` streams per-bound counts and margins without building any
 record. `crossover` reads the same pass's columns, and `make_table` reads
@@ -164,7 +166,7 @@ def verify_tally(ids: list[BoundId], n_max: int) -> VerifyTally:
             if not bv:
                 continue
             checked[i] += len(bv)
-            ok_count[i] += sum(ok)
+            ok_count[i] += len(bv) if low > 0 else sum(ok)  # all "ok" above 0
             # the first smallest: index finds the block's first, a strict < keeps
             # an earlier block's
             if argmin_n[i] is None or low < min_margin[i]:

@@ -8,8 +8,8 @@ to _MAX_ORDER = 1000; a larger m is refused with DomainError.
 
 Each formula is written once, as a function (B, N, n, m) of a backend B,
 the dimension as the backend's number N and as the int n, and the order m.
-Rational prefactors are integer pairs (numerator, denominator), built in
-one small-int loop; digamma and trigamma are taken at half-integers x,
+Rational prefactors are integer pairs (numerator, denominator), built one
+factor or summand per step; digamma and trigamma are taken at half-integers x,
 each given as the int t = 2x. Three backends run the formulas:
 
 - FLOAT (eval_bound): doubles at one n. Each pair is rounded by a single
@@ -17,17 +17,18 @@ each given as the int t = 2x. Three backends run the formulas:
   specfun's kernel functions, which read its t-keyed integer kernels at
   their points, values in units of 2^-128 rounded once, arranged so that
   gamma and log-4 contributions cancel exactly where they should.
-- the shared column backend (_sharing): FLOAT on a block of n at once, N
-  a column of doubles and n one of ints. A column applies + - * / **
-  elementwise through the operator builtins and every function of FLOAT
-  through map, so each element goes through the very operation FLOAT does
-  at its n, in the same order, and every double is kept bit for bit; the
-  loops run in C, so a block costs one formula call per bound, not one per
-  (bound, n). Every bound runs on the whole block (its readers mask the n
+- the compiled columns (_compiled): FLOAT on a block of n at once. Each
+  formula, and each truncate's step, is traced once on symbols (_TRACER)
+  and written out as one list comprehension over the block's input
+  columns, with its operations in the order the formula does them, on the
+  same operand types and constants, so every element is the double FLOAT
+  gives at its n, bit for bit. m and the step's order k are arguments, so
+  a process compiles at most one function per family and one per
+  truncate. Every bound runs on the whole block (its readers mask the n
   below its min_n). The m-truncates f, sigma, s and w extend one another,
-  one factor or one summand per order, so each keeps its last pair of
-  columns and goes on from it to a higher order instead of starting again;
-  each kernel function keeps its last column.
+  one factor or summand per order, so each keeps its last column of pairs
+  and goes on from it to a higher order; each kernel function's column is
+  computed once per block (_inputs).
 - MP (eval_bound_mp): FLOAT at 30 digits, for near-tie adjudication: pi,
   sqrt, exp and the division are mpmath's, and the same kernel functions
   read the same integer kernels at their points, each value rounded once at
@@ -47,7 +48,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -66,41 +67,33 @@ def _check_order(m: int) -> None:
         raise DomainError(f"truncation order m must be <= {_MAX_ORDER}, got {m}")
 
 
-# Each truncate loop returns the pair of order m. Given (k, p, q), the pair
-# of a lower order k, it goes on from there; the defaults are the empty
-# product or sum.
-
-def _f_m(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, int]:
+# Each truncate as its step (n, k, p, q) -> the pair of order k from the pair
+# (p, q) of order k - 1, with its order 0 (-1 for s, whose sum starts at
+# k = 0) and the pair there, the empty product or sum
+_TRUNCATES = {
     # joint factor k(x+k-1)/((k-a)(k+x+a-1)) at x = (n+1)/2, a = 1/2
-    for k in range(k + 1, m + 1):
-        p *= 2 * k * (n + 2 * k - 1)
-        q *= (2 * k - 1) * (n + 2 * k)
-    return p, q
-
-
-def _sigma(n: int, m: int, k: int = 0, p: int = 0, q: int = 1) -> tuple[int, int]:
+    "f": (lambda n, k, p, q: (p * (2 * k * (n + 2 * k - 1)), q * ((2 * k - 1) * (n + 2 * k))),
+          0, 1, 1),
     # sum_{k=1}^m 1/(k(2k+n-1))
-    for k in range(k + 1, m + 1):
-        d = k * (2 * k + n - 1)
-        p, q = p * d + q, q * d
-    return p, q
-
-
-def _s(n: int, m: int, k: int = -1, p: int = 0, q: int = 1) -> tuple[int, int]:
+    "sigma": (lambda n, k, p, q: (p * (d := k * (2 * k + n - 1)) + q, q * d), 0, 0, 1),
     # sum_{k=0}^m 1/((2k-1)(2k+n))
-    for k in range(k + 1, m + 1):
-        d = (2 * k - 1) * (2 * k + n)
-        p, q = p * d + q, q * d
-    return p, q
-
-
-def _w_trunc(n: int, m: int, k: int = 0, p: int = 1, q: int = 1) -> tuple[int, int]:
+    "s": (lambda n, k, p, q: (p * (d := (2 * k - 1) * (2 * k + n)) + q, q * d), -1, 0, 1),
     # prod_{k=1}^m (2k+n)^2/((2k+n)^2 - 1)
-    for k in range(k + 1, m + 1):
-        t = 2 * k + n
-        p *= t * t
-        q *= t * t - 1
-    return p, q
+    "w": (lambda n, k, p, q: (p * ((t := 2 * k + n) * t), q * (t * t - 1)), 0, 1, 1),
+}
+
+
+def _fold(step: Callable, k0: int, p0: int, q0: int) -> Callable[..., tuple[int, int]]:
+    """The truncate loop of step: (n, m, k, p, q) -> the pair of order m, going
+    on from (k, p, q), the pair of a lower order k; by default from order k0."""
+    def loop(n: int, m: int, k: int = k0, p: int = p0, q: int = q0) -> tuple[int, int]:
+        for k in range(k + 1, m + 1):
+            p, q = step(n, k, p, q)
+        return p, q
+    return loop
+
+
+_f_m, _sigma, _s, _w_trunc = (_fold(*truncate) for truncate in _TRUNCATES.values())
 
 
 # psi_slope, psi_alpha and trigamma at the int n (specfun's kernel
@@ -133,75 +126,85 @@ def _mp_backend() -> SimpleNamespace:
     })
 
 
-def _each(fn: Callable) -> Callable:
-    """fn applied elementwise to columns, a number standing for every element."""
-    return lambda *args: _Column(map(fn, *(a if isinstance(a, list) else repeat(a)
-                                          for a in args)))
+class _Sym:
+    """A traced value: text formats its operands args, each a _Sym or a
+    constant, as Python source; uses counts the operations that take it."""
+
+    def __init__(self, text: str, *args) -> None:
+        self.text, self.args, self.uses = text, args, 0
+        for a in args:
+            if isinstance(a, _Sym):
+                a.uses += 1
+
+    def _op(text: str) -> Callable:  # the method of an operator, written as text
+        return lambda a, b: _Sym(text, a, b)
+    __add__, __radd__ = _op("({0} + {1})"), _op("({1} + {0})")
+    __sub__, __rsub__ = _op("({0} - {1})"), _op("({1} - {0})")
+    __mul__, __rmul__ = _op("({0} * {1})"), _op("({1} * {0})")
+    __truediv__, __rtruediv__ = _op("({0} / {1})"), _op("({1} / {0})")
+    __pow__, __rpow__ = _op("({0} ** {1})"), _op("({1} ** {0})")
 
 
-def _elementwise(op: Callable) -> tuple[Callable, Callable]:
-    """The method pair (a op b, b op a) of op on a column a."""
-    each = _each(op)
-    return each, lambda a, b: each(b, a)
+_KERNEL_FUNCTIONS = tuple(_kernel_functions(_fixed, math.pi))
+# FLOAT traced: each kernel function and truncate reads its input column
+_TRACER = SimpleNamespace(
+    pi=_Sym("pi"),
+    sqrt=lambda x: _Sym("sqrt({0})", x),
+    exp=lambda x: _Sym("exp({0})", x),
+    ratio=lambda p, q: _Sym("({0} / {1})", p, q),
+    **{name: lambda n, name=name: _Sym(name) for name in _KERNEL_FUNCTIONS},
+    **{name: lambda n, m, name=name: (_Sym(f"{name}_p"), _Sym(f"{name}_q"))
+       for name in _TRUNCATES},
+)
+# the input columns of a block, each by the loop target of its elements
+_INPUTS = {"N": "N", "n": "n", **{name: f"({name}_p, {name}_q)" for name in _TRUNCATES},
+           **{name: name for name in _KERNEL_FUNCTIONS}}
 
 
-class _Column(list):
-    """A column of numbers, one per n of a block. + - * / ** apply their
-    operator builtin elementwise, to another column of the same length or to
-    a number, with the operands in the order written; the in-place forms
-    build a new column, as they do for numbers."""
-
-    __add__, __radd__ = _elementwise(operator.add)
-    __sub__, __rsub__ = _elementwise(operator.sub)
-    __mul__, __rmul__ = _elementwise(operator.mul)
-    __truediv__, __rtruediv__ = _elementwise(operator.truediv)
-    __pow__, __rpow__ = _elementwise(operator.pow)
-    __iadd__, __imul__ = __add__, __mul__  # list's would extend or repeat in place
-
-
-# FLOAT on columns: the same truncate loops, each function mapped; the
-# kernel functions come from _sharing, on the pass's kernels
-_COLUMNS = SimpleNamespace(**{
-    **vars(FLOAT),
-    **{name: _each(getattr(FLOAT, name)) for name in ("sqrt", "exp", "ratio")},
-})
+def _source(x, names: dict, leaves: set) -> str:
+    """x as source, a constant by repr. An operation that more than one
+    operation takes is bound by := where it is first evaluated and read by
+    name after; leaves collects the names that x reads."""
+    if not isinstance(x, _Sym):
+        return repr(x)
+    if x in names:
+        return names[x]
+    if not x.args:
+        leaves.add(x.text)
+        return x.text
+    text = x.text.format(*(_source(a, names, leaves) for a in x.args))
+    if x.uses < 2:
+        return text
+    names[x] = f"_{len(names)}"
+    return f"({names[x]} := {text})"
 
 
-def _sharing(*readers: Callable[[int], int]) -> SimpleNamespace:
-    """The column backend for the bounds of one block, which all run on the
-    same n column. Each truncate keeps the last pair of columns it gave, with
-    its order, and goes on from it when asked for a higher order; a lower
-    order starts again. Each kernel function keeps its last argument and
-    column. Nothing is kept beyond that one entry each. psi and psi' come
-    from readers, the block's pair from the pass's kernels (by default, each
-    t read at its point)."""
-    def truncate(loop):
-        k, p, q = 0, 1, 1  # the last order and its pair; 0 when none
-
-        def get(n, m):
-            nonlocal k, p, q
-            if k != m:
-                p, q = loop(n, m, k, p, q) if 0 < k < m else loop(n, m)
-                k = m
-            return p, q
-        return get
-
-    def last(fn):
-        arg, value = None, None  # the last argument and its value
-
-        def get(n):
-            nonlocal arg, value
-            if n != arg:
-                arg, value = n, fn(n)
-            return value
-        return get
-
-    return SimpleNamespace(**{
-        **vars(_COLUMNS),
-        **{name: truncate(getattr(_COLUMNS, name)) for name in ("f", "sigma", "s", "w")},
-        **{name: last(_each(fn))
-           for name, fn in _kernel_functions(_fixed, math.pi, *readers).items()},
-    })
+@functools.cache
+def _compiled(fn: Callable, truncate: str | None = None) -> tuple[Callable, tuple[str, ...]]:
+    """A family's formula (B, N, n, m), or a truncate's step by name, as one
+    list comprehension over the input columns of a block: (the function
+    (m, *columns) -> the column of values, or (k, n, pairs) -> the pairs of
+    order k, and the names in _INPUTS of the columns it takes). fn is traced
+    once, on _TRACER, and its operations are written out in their order, on
+    the same operands, with each constant by its repr, so every element is
+    the very double or int that fn gives at its n. The source holds only
+    operators, constants, the column and loop names, m, k, pi, sqrt, exp and
+    zip; n, N, m, k and the columns are arguments: no input reaches it."""
+    n, m = _Sym("n"), _Sym("k" if truncate else "m")
+    value = (fn(n, m, *getattr(_TRACER, truncate)(n, m)) if truncate
+             else fn(_TRACER, _Sym("N"), n, m))
+    names: dict = {}
+    leaves: set = set()
+    body = ", ".join(_source(x, names, leaves) for x in (value if truncate else (value,)))
+    inputs = tuple(name for name, target in _INPUTS.items()
+                   if leaves.intersection(target.strip("()").split(", ")))
+    columns = ", ".join(f"c{i}" for i in range(len(inputs)))
+    loop = ", ".join(map(_INPUTS.get, inputs)) + (
+        f" in zip({columns})" if len(inputs) > 1 else f" in {columns}")
+    namespace = {"pi": math.pi, "sqrt": math.sqrt, "exp": math.exp}
+    exec(compile(f"def column({m.text}, {columns}):\n    return [({body}) for {loop}]\n",
+                 "<bounds>", "exec"), namespace)
+    return namespace["column"], inputs
 
 
 class _Family(NamedTuple):
@@ -400,10 +403,34 @@ def eval_bound_mp(bid: BoundId, n: int):
         return fam.formula(_mp_backend(), mpmath.mpf(n), n, bid.m)
 
 
-# n per block of a pass: enough that the elementwise loops, not the formula
-# calls, take most of a block's time, and few enough that a sweep's peak
-# memory stays near that of one n at a time
+# n per block of a pass: enough that the compiled comprehensions, not the
+# calls of them, take most of a block's time, and few enough that a sweep's
+# peak memory stays near that of one n at a time
 _BLOCK = 256
+
+
+def _inputs(block: Sequence[int], functions: dict[str, Callable]) -> Callable:
+    """get(name, m), the input column name of the compiled formulas on one
+    block: N and n; each kernel function of functions, computed at its first
+    read; each truncate's pairs at order m, going on from its last order (a
+    lower order starts again), one compiled step per order. Nothing is kept
+    beyond the last column of each."""
+    held: dict = {"N": (None, list(map(float, block))), "n": (None, block)}
+
+    def get(name: str, m: int) -> Sequence:
+        k, column = held.get(name, (None, None))
+        if name in _TRUNCATES and k != m:
+            step, k0, *pair = _TRUNCATES[name]
+            if k is None or k > m:
+                k, column = k0, [tuple(pair)] * len(block)
+            step = _compiled(step, name)[0]  # (k, n, pairs) -> the pairs of order k
+            for k in range(k + 1, m + 1):
+                column = step(k, block, column)
+            held[name] = m, column
+        elif column is None:
+            held[name] = None, (column := list(map(functions[name], block)))
+        return column
+    return get
 
 
 def _pass(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[tuple[Sequence[int], Iterator]]:
@@ -411,21 +438,21 @@ def _pass(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[tuple[Sequence[
     which ascend and are distinct; columns gives (i, the formula of ids[i] at
     every n of the block: its eval_bound doubles from the bound's min_n on,
     finite values that the readers mask below) for each bound, in ascending
-    m, on one _sharing backend per block. An n outside [1, MAX_DIMENSION]
-    raises DomainError before any bound is run."""
+    m, each from its compiled comprehension on the block's _inputs. An n
+    outside [1, MAX_DIMENSION] raises DomainError before any bound is run."""
     if ns and not 1 <= ns[0] <= ns[-1] <= MAX_DIMENSION:
         raise DomainError(f"bounds need 1 <= n <= {MAX_DIMENSION}, got {ns[0]}..{ns[-1]}")
-    plan = sorted((bid.m or 0, i, _BY_KEY[(bid.target, bid.kind)].formula)
+    plan = sorted((bid.m or 0, i, _compiled(_BY_KEY[(bid.target, bid.kind)].formula))
                   for i, bid in enumerate(ids))
     kernels = _kernels(ns)
 
-    def run(B, N, n):  # a block's columns, on its backend and n whenever they are read
-        for m, i, formula in plan:
-            yield i, formula(B, N, n, m)
+    def run(get):  # a block's columns, whenever they are read
+        for m, i, (column, inputs) in plan:
+            yield i, column(m, *(get(name, m) for name in inputs))
     for start in range(0, len(ns), _BLOCK):
         block = ns[start:start + _BLOCK]  # whose kernel functions read t = n and n + 1
-        B = _sharing(*(kernel.read(block[0], block[-1] + 1) for kernel in kernels))
-        yield block, run(B, _Column(map(float, block)), _Column(block))
+        readers = [kernel.read(block[0], block[-1] + 1) for kernel in kernels]
+        yield block, run(_inputs(block, _kernel_functions(_fixed, math.pi, *readers)))
 
 
 def _rows(ids: Sequence[BoundId], ns: Sequence[int]) -> Iterator[list[float | None]]:

@@ -593,15 +593,20 @@ def test_verify_computes_each_shared_term_once_per_n(monkeypatch):
         monkeypatch.setattr(sf, f"_{kernel}_walked", stepped)
     for name in ("_psi_rational", "_trigamma"):
         monkeypatch.setattr(sf, name, lambda t, real=getattr(sf, name): reads.append(t) or real(t))
-    # each truncate loop records, per block of n, the orders whose factor or
-    # summand it adds
+    # each truncate's compiled step records, per block of n, the order whose
+    # factor or summand it adds
     orders: dict = {}
-    for name, first in (("f", 1), ("sigma", 1), ("s", 0), ("w", 1)):
-        def counted(n, m, *last, name=name, first=first, loop=getattr(B._COLUMNS, name)):
-            start = last[0] + 1 if last else first
-            orders.setdefault(name, {}).setdefault(tuple(n), []).extend(range(start, m + 1))
-            return loop(n, m, *last)
-        monkeypatch.setattr(B._COLUMNS, name, counted)
+
+    def compiled(fn, truncate=None, real=B._compiled):
+        column, inputs = real(fn, truncate)
+        if truncate is None:
+            return column, inputs
+
+        def counted(k, n, pairs):
+            orders.setdefault(truncate, {}).setdefault(tuple(n), []).append(k)
+            return column(k, n, pairs)
+        return counted, inputs
+    monkeypatch.setattr(B, "_compiled", compiled)
 
     def blocks(n_max):
         return [tuple(range(lo, min(lo + 16, n_max + 1))) for lo in range(1, n_max + 1, 16)]

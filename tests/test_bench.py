@@ -36,3 +36,18 @@ def test_ties_runs_on_this_tree():
     assert set(ties) == {"slack_only", *(f"within_{k}_ulp" for k in bench.ULPS)}
     # the exact tie v:upper-alzer at n = 1 is an "ok" only through the slack
     assert ties["slack_only"]["v:upper-alzer"] == 1
+
+
+def test_first_verify_runs_on_this_tree():
+    first = _script(bench.FIRST)
+    assert set(first) == {"first_verify_5000_s", "second_verify_5000_s"}
+    assert all(first[key] > 0 for key in first)
+
+
+def test_children_share_one_private_bytecode_cache(tmp_path):
+    # bytecode is written, and read from the given cache alone
+    _, _, out = bench._child(str(ROOT / "src"), [
+        "-c", "import sys; print(sys.pycache_prefix, sys.dont_write_bytecode)"], str(tmp_path))
+    assert out.split() == [str(tmp_path), "False"]
+    bench._child(str(ROOT / "src"), ["-c", bench.WARM, str(ROOT / "src")], str(tmp_path))
+    assert list(tmp_path.rglob("bounds.*.pyc"))

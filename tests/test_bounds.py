@@ -1,6 +1,7 @@
 """Bound catalog: identifier plumbing, exact helper sums, frozen values,
 sidedness, and the chain orderings."""
 
+import ast
 import hashlib
 import math
 import random
@@ -384,7 +385,7 @@ def test_rows_are_the_eval_bound_doubles():
 
 
 def test_columns_refuse_n_out_of_range_before_any_work(monkeypatch):
-    monkeypatch.setattr(B, "_sharing", None)  # no backend is built
+    monkeypatch.setattr(B, "_compiled", None)  # no formula is compiled or run
     ids = [s.id for s in B.catalog()]
     for ns in ([bv.MAX_DIMENSION + 1], [5, bv.MAX_DIMENSION + 1, 7], [3, 0]):
         with pytest.raises(DomainError):
@@ -485,19 +486,69 @@ def test_truncates_go_on_from_a_lower_order():
 
 
 def test_sharing_truncates_start_again_below_their_last_order():
-    n = B._Column([1, 2, 9, 500])
+    n = [1, 2, 9, 500]
+    get = B._inputs(n, {})
     for name in ("f", "sigma", "s", "w"):
-        loop = getattr(B._COLUMNS, name)
-        get = getattr(B._sharing(), name)
-        # up, the same order again, then down: each is the loop's pair
+        loop = getattr(B.FLOAT, name)
+        # up, the same order again, then down: each is the loop's pair at every n
         for m in (3, 5, 5, 2, 1, 4):
-            assert get(n, m) == loop(n, m), (name, m)
+            assert get(name, m) == [loop(k, m) for k in n], (name, m)
 
 
 def test_sharing_psi_columns_follow_their_arguments():
-    shared = B._sharing()
-    for name in ("psi_slope", "psi_alpha", "trigamma"):
-        for ns in (range(1, 40), range(2, 41), range(1, 40)):
+    functions = B._kernel_functions(B._fixed, math.pi)
+    for ns in (range(1, 40), range(2, 41), range(1, 40)):
+        get = B._inputs(ns, functions)
+        for name in ("psi_slope", "psi_alpha", "trigamma"):
             want = [getattr(B.FLOAT, name)(n) for n in ns]
-            assert getattr(shared, name)(B._Column(ns)) == want, (name, ns[0])
+            assert get(name, None) == want, (name, ns[0])
+            assert get(name, None) is get(name, None)  # computed once per block
 
+
+def test_compiled_columns_are_the_eval_bound_doubles():
+    # each family alone, so that its truncates start from order 0 in every block
+    seeded = sorted(random.Random(27).sample(range(2001, bv.MAX_DIMENSION + 1), 200))
+    dense = [*range(1, 2001), *seeded]
+    for fam in B._FAMILIES:
+        for m in (1, 2, 3, 7, 1000) if fam.parametric else (None,):
+            bid = B.BoundId(fam.target, fam.kind, m)
+            # at m = 1000, one eval_bound takes about 1-2 ms: every 40th n
+            ns = dense if m != 1000 else [*range(1, 2001, 40), *seeded[::10]]
+            got = [v for block, columns in B._pass([bid], ns) for _, column in columns
+                   for v in column]
+            assert [v for n, v in zip(ns, got) if n >= bid.min_n] == [
+                B.eval_bound(bid, n) for n in ns if n >= bid.min_n], bid.label()
+
+
+def test_compiled_code_is_bounded_and_names_only_allowed_names(monkeypatch):
+    sources = []
+
+    def recording(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(B, "compile", recording, raising=False)
+    B._compiled.cache_clear()
+    orders = range(1, 1001)
+    ids = [B.BoundId(f.target, f.kind, m) for f in B._FAMILIES
+           for m in (orders if f.parametric else (None,))]
+    for ns in ([7], range(1, 20), [300, 99_999]):
+        list(B._rows(ids, ns))
+    # orders down as well as up, each in a pass of its own
+    for m in (1000, 3, 999, 1):
+        list(B._rows([B.V_LOWER_D(m), B.W_UPPER_REFINED(m)], range(1, 5)))
+    assert len(sources) <= len(B._FAMILIES) + len(B._TRUNCATES) == 21
+    allowed = {"column", "m", "k", "N", "n", "pi", "sqrt", "exp", "zip",
+               *(f"c{i}" for i in range(5)), *(f"_{i}" for i in range(2)),
+               *B._KERNEL_FUNCTIONS, *(f"{t}_{x}" for t in B._TRUNCATES for x in "pq")}
+    for source in sources:
+        tree = ast.parse(source)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert names <= allowed, source
+        # nothing but names, constants, arithmetic, calls of sqrt and exp, :=,
+        # tuples, one comprehension and the def that returns it
+        assert {type(node).__name__ for node in ast.walk(tree)} <= {
+            "Module", "FunctionDef", "arguments", "arg", "Return", "ListComp",
+            "comprehension", "Tuple", "Name", "Load", "Store", "Constant", "BinOp",
+            "Add", "Sub", "Mult", "Div", "Pow", "Call", "NamedExpr"}, source

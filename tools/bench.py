@@ -3,8 +3,13 @@ one or more source trees, and write the results as JSON.
 
     python tools/bench.py --out BENCH.json parent=/path/to/other/src change=src
 
-Each LABEL=SRC names a source tree holding the `ballratio` package. For
-each tree (the order of the trees alternates from one run to the next):
+Each LABEL=SRC names a source tree holding the `ballratio` package. Every
+child reads and writes one private bytecode cache (PYTHONPYCACHEPREFIX in
+a temporary directory, with PYTHONDONTWRITEBYTECODE unset for the
+children), which one untimed child per tree fills first with the tree's
+package and the modules the runs import, so that a run measures the
+program and not the compiling of its source. For each tree (the order of
+the trees alternates from one run to the next):
 
 - the commands of CLI_RUNS, each in a fresh interpreter: `verify --n-max
   10000` (5 runs) and `--n-max 100000` (7 runs: 3 cannot resolve a change
@@ -12,9 +17,10 @@ each tree (the order of the trees alternates from one run to the next):
   `queries` round holds: v and w tables at n = 30000 and 29999, and a
   near-tie crossover to 3000; and 5 runs each of v and w tables at
   n = 100000 and 99999 and of `volume --n 100000`, the sparse reads at the
-  cap; and 5 runs of a v table over the odd n <= 9999, a dense table; the
-  wall time is taken with time.perf_counter around the child, and
-  the peak resident set from os.wait4 of that child;
+  cap; 5 runs of a v table over the odd n <= 9999, a dense table; and 5
+  runs each of the truncates at order 1000, a v table over n = 1..300 and
+  a crossover to 1000; the wall time is taken with time.perf_counter
+  around the child, and the peak resident set from os.wait4 of that child;
 - (IMPORT_RUNS runs) a cold `import ballratio.cli` in a fresh interpreter,
   timed the same way, and whether it loaded mpmath;
 - the in-process measurements of IN_PROCESS, each run a fresh interpreter
@@ -26,6 +32,9 @@ each tree (the order of the trees alternates from one run to the next):
     decide/tally, the loop of `verify_tally` over `analysis._evaluate`
     itself: one more `verify_tally`, less the time that its two inputs,
     the walk and the pass, take to make each block ahead of it;
+  - (7 runs) a fresh interpreter's first `verify_tally` at n_max 5000,
+    against its second: the first holds the one-time costs, such as
+    compiling the catalog's formulas;
   - (5 runs) µs per n of each catalog family in one pass of the block loop
     to n_max 5000, all of its orders together; µs per n of `bounds._rows`
     over the v catalog at n = 1..20000 and at n = 20000..1 (a list given
@@ -50,6 +59,7 @@ and the tier-1 children pytest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -57,6 +67,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 # (name, arguments, runs per tree) of the CLI
@@ -72,7 +83,15 @@ CLI_RUNS = (
     ("volume_100000", ["volume", "--n", "100000"], 5),
     ("bounds_v_odd_9999", ["bounds", "--target", "v", "--n",
                            ",".join(map(str, range(1, 10_000, 2)))], 5),
+    ("bounds_v_trunc_1000", ["bounds", "--target", "v", "--ids", "lower-trunc:1000,upper-h:1000",
+                             "--n", ",".join(map(str, range(1, 301)))], 5),
+    ("crossover_v_trunc_1000", ["crossover", "--target", "v", "--ids",
+                                "lower-trunc:1000,lower-trunc:999", "--n-max", "1000"], 5),
 )
+# untimed, once per tree: fills the bytecode cache with the package and with
+# what the runs import
+WARM = ("import compileall, sys; compileall.compile_dir(sys.argv[1], quiet=1); "
+        "import ballratio.cli, ballratio.analysis, ballratio.gautschi, mpmath, pytest, hypothesis")
 # a cold import of the CLI, which prints whether it loaded mpmath
 IMPORT_CLI = "import sys, ballratio.cli; print('mpmath' in sys.modules)"
 IMPORT_RUNS = 21
@@ -125,6 +144,19 @@ analysis._pass = passed
 t0 = clock()
 analysis.verify_tally(ids, n_max)
 out["decide_tally_s"] = clock() - t0 - making[0]
+print(json.dumps(out))
+"""
+
+FIRST = r"""
+import json, time
+from ballratio import analysis, bounds
+
+ids = [s.id for s in bounds.catalog()]
+out = {}
+for key in ("first_verify_5000_s", "second_verify_5000_s"):
+    t0 = time.perf_counter()
+    analysis.verify_tally(ids, 5000)
+    out[key] = time.perf_counter() - t0
 print(json.dumps(out))
 """
 
@@ -220,16 +252,21 @@ sys.exit(code not in (0, 1))  # 1: the suite ran, and some tests failed
 IN_PROCESS = (
     ("split_5000", [SPLIT, "5000"], 7),
     ("split_100000", [SPLIT, "100000"], 7),
+    ("first_verify", [FIRST], 7),
     ("parts", [PARTS, ",".join(MP_IDS)], 5),
     ("products", [PRODUCTS], 5),
 )
 TIER1_RUNS = 3
 
 
-def _child(src: str, argv: list[str]) -> tuple[float, int, str]:
-    """Run python argv with src on the path, in the directory above src:
-    (wall s, peak RSS KiB, stdout)."""
+def _child(src: str, argv: list[str], pycache: str | None = None) -> tuple[float, int, str]:
+    """Run python argv with src on the path, in the directory above src, and
+    with pycache, if given, as its bytecode cache: (wall s, peak RSS KiB,
+    stdout)."""
     env = dict(os.environ, PYTHONPATH=src)
+    if pycache:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = pycache
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
                             cwd=os.path.dirname(src))
@@ -262,27 +299,31 @@ def main() -> None:
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     trees = [tuple(t.split("=", 1)) for t in args.trees]
+    cache = tempfile.TemporaryDirectory(prefix="bench-pycache-")  # removed at exit
+    child = functools.partial(_child, pycache=cache.name)
+    for _, src in trees:
+        child(os.path.abspath(src), ["-c", WARM, os.path.abspath(src)])
     raw: dict = {label: {} for label, _ in trees}
     for name, cli, reps in CLI_RUNS:
         for label, src in _alternating(trees, reps):
-            wall, rss, _ = _child(os.path.abspath(src), [
+            wall, rss, _ = child(os.path.abspath(src), [
                 "-c", "import sys; from ballratio.cli import main; sys.exit(main())", *cli])
             cell = raw[label].setdefault(name, {"wall_s": [], "peak_rss_mb": []})
             cell["wall_s"].append(wall)
             cell["peak_rss_mb"].append(rss / 1024)
     loaded: dict = {label: set() for label, _ in trees}
     for label, src in _alternating(trees, IMPORT_RUNS):
-        wall, _, out = _child(os.path.abspath(src), ["-c", IMPORT_CLI])
+        wall, _, out = child(os.path.abspath(src), ["-c", IMPORT_CLI])
         raw[label].setdefault("import_cli", {"wall_s": []})["wall_s"].append(wall)
         loaded[label].add(out.strip() == "True")
     for name, argv, reps in IN_PROCESS:
         for label, src in _alternating(trees, reps):
-            _, _, out = _child(os.path.abspath(src), ["-c", *argv])
+            _, _, out = child(os.path.abspath(src), ["-c", *argv])
             cell = raw[label].setdefault(name, {})
             for metric, x in json.loads(out).items():
                 cell.setdefault(metric, []).append(x)
     for label, src in _alternating(trees, TIER1_RUNS):
-        wall, _, out = _child(os.path.abspath(src), ["-c", TIER1])
+        wall, _, out = child(os.path.abspath(src), ["-c", TIER1])
         counts = dict.fromkeys(("passed", "failed"), 0)
         for count, word in re.findall(r"(\d+) (passed|failed)", out.splitlines()[-1]):
             counts[word] = int(count)
@@ -290,7 +331,7 @@ def main() -> None:
         cell["wall_s"].append(wall)
         for word, count in counts.items():
             cell[word].append(count)
-    ties = {label: json.loads(_child(os.path.abspath(src), [
+    ties = {label: json.loads(child(os.path.abspath(src), [
         "-c", TIES, str(TIES_N_MAX), json.dumps(ULPS)])[2]) for label, src in trees}
     result = {
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
