@@ -13,10 +13,9 @@ mpmath. The layering rule: importing the package or its CLI loads neither
 mpmath nor the product layer. Each product function outside gautschi
 (v_product, w_product, product_overtake_index, partials_below_upper_cap,
 digamma_series and the two minorant checks) imports what it needs where it
-runs, as do the three mpmath reads on shared paths (to_real at a pi power
-beyond 4, eval_bound_mp, and the psi series above t = 256), and this
-module gives the five names of the product layer on first access
-(PEP 562).
+runs, as do the two mpmath reads on shared paths (eval_bound_mp, and the
+psi series above t = 256), and this module gives the five names of the
+product layer on first access (PEP 562).
 """
 
 import importlib

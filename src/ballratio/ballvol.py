@@ -39,10 +39,9 @@ from .errors import BallRatioError, DomainError, NonConvergenceError
 if TYPE_CHECKING:
     from .truncation import TruncationControl
 
-# 34-digit brackets: PI_LO < pi < PI_HI. Wide enough to separate every
-# comparison the catalog needs; compare_to_fraction raises if they fail to.
-PI_LO = Fraction(31415926535897932384626433832795028, 10**34)
-PI_HI = PI_LO + Fraction(1, 10**34)
+# floor(pi 2^256): pi lies in [_PI, _PI + 1] / 2^256, the exact layer's one
+# bracket of pi (to_real beyond pi^4, compare_to_fraction, specfun's pi^2)
+_PI = 0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89
 
 # Largest dimension the exact oracle accepts. Mantissas grow like n log n
 # bits and their cost a little faster than n^2: at the cap v_exact and
@@ -91,28 +90,6 @@ def _check_dimension(n: int, least: int, name: str) -> None:
         raise DomainError(f"{name} needs n <= {MAX_DIMENSION}, got {n}")
 
 
-def _leading(k: int) -> tuple[int, int]:
-    """(a, s) with a 2^s <= k < (a + 1) 2^s, a the leading 192 bits of k > 0."""
-    s = max(k.bit_length() - 192, 0)
-    return k >> s, s
-
-
-def _quotient(num: int, den: int):
-    """mpf(num) / den at working precision, read from the leading bits of num
-    and den. Rounding is monotone, so when the leading bits a of num and a + 1
-    round alike, so does num; and when num's rounded value over the leading
-    bits b of den and over b + 1 rounds alike, so does its quotient by den.
-    Else, all but never, both integers are read whole."""
-    import mpmath
-
-    (a, sa), (b, sb) = _leading(num), _leading(den)
-    top = mpmath.ldexp(a, sa - sb)
-    x = top / b
-    if (sa and top != mpmath.ldexp(a + 1, sa - sb)) or (sb and x != top / (b + 1)):
-        return mpmath.mpf(num) / den
-    return x
-
-
 @dataclass(frozen=True)
 class ExactBallValue:
     """A positive rational mantissa times an integer power of pi."""
@@ -120,19 +97,32 @@ class ExactBallValue:
     mantissa: Fraction
     pi_power: int
 
+    def _ends(self) -> list[tuple[int, int]]:
+        """(num, den) of self with pi at each end of its bracket, the lower first."""
+        a, b = self.mantissa.numerator, self.mantissa.denominator
+        p = self.pi_power
+        if p >= 0:
+            return [(a * pi**p, b << 256 * p) for pi in (_PI, _PI + 1)]
+        return [(a << -256 * p, b * pi**-p) for pi in (_PI + 1, _PI)]
+
     def to_real(self) -> float:
+        """self as a double. Beyond pi^4, the one double that both ends of pi's
+        bracket round to: int true division rounds correctly and monotonically,
+        subnormals included, and ends that round apart raise BallRatioError, as
+        ratio_walk's do. Where bit lengths certify self < 2^-1075 (2 < pi <
+        2^(27/16)), 0.0 without a division: Omega_n from n = 456 on."""
         p = self.pi_power
         if -4 <= p <= 4:
             return float(self.mantissa) * math.pi**p
-        # big powers: fold pi into the mantissa at 128 bits before rounding,
-        # else the two float factors can overflow/underflow pairwise (e.g.
-        # Omega_200); man / 2^-exp is correctly rounded, subnormals included
-        import mpmath
-
-        with mpmath.workprec(128):
-            x = _quotient(self.mantissa.numerator, self.mantissa.denominator)
-            man, exp = (x * mpmath.pi**p).man_exp
-        return man / (1 << -exp) if exp < 0 else float(man << exp)
+        # self < 2^(bits - 1075) pi^p, and 16 log2(pi^p) < 27p at p > 0, < 16p below
+        m = self.mantissa
+        bits = m.numerator.bit_length() - m.denominator.bit_length() + 1076
+        if 16 * bits + (27 * p if p > 0 else 16 * p) <= 0:
+            return 0.0
+        lo, hi = (num / den for num, den in self._ends())
+        if lo != hi:
+            raise BallRatioError(f"pi's bracket cannot round {self.symbolic()} to one double")
+        return lo
 
     def symbolic(self) -> str:
         m = self.mantissa
@@ -144,28 +134,19 @@ class ExactBallValue:
     def compare_to_fraction(self, q) -> int:
         """Sign of (self - q) for rational q, decided rigorously.
 
-        Bracketing pi between PI_LO and PI_HI turns the comparison into two
-        integer cross-multiplications, with no gcd; an undecidable case (q
-        inside the bracket interval) raises rather than guessing.
+        At each end of pi's bracket self is an integer quotient, so the
+        comparison is two integer cross-multiplications, with no gcd (at pi^0
+        the ends coincide, and so do the signs); an undecidable case (q inside
+        the bracket interval) raises rather than guessing.
         """
         q = Fraction(q)
-        a, b = self.mantissa.numerator, self.mantissa.denominator
         c, d = q.numerator, q.denominator
-        p = self.pi_power
-        if p == 0:
-            left, right = a * d, c * b
-            return (left > right) - (left < right)
-        signs = []
-        for end in (PI_LO, PI_HI):
-            num, den = end.numerator ** abs(p), end.denominator ** abs(p)
-            if p < 0:
-                num, den = den, num
-            # at this end of the bracket self is a num / (b den), with b, den, d > 0
-            left, right = a * num * d, c * b * den
-            signs.append((left > right) - (left < right))
-        if signs[0] == signs[1] != 0:
-            return signs[0]
-        raise BallRatioError(f"pi brackets cannot separate {self.symbolic()} from {q}")
+        # each end is num / den with den, d > 0
+        lo, hi = ((left > right) - (left < right)
+                  for left, right in ((num * d, c * den) for num, den in self._ends()))
+        if lo == hi:
+            return lo
+        raise BallRatioError(f"pi's bracket cannot separate {self.symbolic()} from {q}")
 
 
 @functools.lru_cache(maxsize=1)

@@ -39,9 +39,10 @@ a rounding boundary, so each true value lies at least 2^-192 from one and
 anything within 2^-193 of it rounds as the walk does. The series is within
 2^-199: it stops below 2^-200, its first omitted term bounds the rest (each
 series envelops its function for x > 0), and its integer roundings add a
-few units of 2^-256. Its constants, pi^2, gamma, log 2 and B_2..B_40, are
-integer literals, which the tests recompute in mpmath at 288 bits; the
-premise is that those and mpmath's log(t) at 288 bits are good to 2^-256.
+few units of 2^-256. Its constants, gamma, log 2 and B_2..B_40, are
+integer literals and pi^2 the square of ballvol's pi literal, which the
+tests recompute in mpmath at 288 bits; the premise is that those and
+mpmath's log(t) at 288 bits are good to 2^-256.
 
 The minorant inequalities are decided in mpmath, apart from both kernels.
 The generic series of psi(x+1) is kept as an independent cross-check and
@@ -61,7 +62,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .ballvol import MAX_DIMENSION, _walks
+from .ballvol import _PI, MAX_DIMENSION, _walks
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -123,8 +124,8 @@ _T_MAX = 2 * MAX_DIMENSION
 # at t = 257). A pass walks or reads at points by ballvol._walks (_kernels).
 _GUARD, _P, _STOP, _SERIES_T = 64, 256, 200, 256
 _TWO, _FOUR = 2 << _GUARD + 128, 4 << _GUARD + 128
-# floor(pi^2 2^192), floor(gamma 2^_P) and floor(log(2) 2^_P)
-_PI2 = 0x9de9e64df22ef2d256e26cd9808c1ac708566a3fe0d0a2286
+# floor(pi^2 2^192), from ballvol's pi bracket; floor(gamma 2^_P) and floor(log(2) 2^_P)
+_PI2 = _PI * _PI >> 320
 _EULER = 0x93c467e37db0c7a4d1be3f810152cb56a1cecc3af65cc0190c03df34709affbd
 _LN2 = 0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2b
 # (numerator, denominator) of B_2k and of -B_2k / (2k) for k = 1..20: the

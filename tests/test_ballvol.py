@@ -4,6 +4,7 @@ evaluators."""
 import decimal
 import hashlib
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -39,8 +40,9 @@ def test_to_real_handles_big_pi_powers():
 
 
 def _to_real_whole(value):
-    """to_real's big-power branch reading both integers whole, as it did
-    before it read their leading bits."""
+    """to_real's big-power branch as it was before the integer pi bracket:
+    the quotient of both integers read whole, times mpmath's pi^p, at 128
+    bits, rounded once."""
     import mpmath
 
     with mpmath.workprec(128):
@@ -50,30 +52,68 @@ def _to_real_whole(value):
 
 
 def test_to_real_reads_leading_bits_bit_for_bit():
-    # Omega_n underflows a double from n = 453 on, so the 128-bit quotient
-    # that to_real rounds is compared too, and alone past n = 3000
-    import mpmath
-
-    for n in [*range(10, 3001), *range(3001, bv.MAX_DIMENSION + 1, 997)]:
+    # Omega_n underflows a double from n = 453 on
+    for n in range(10, 3001):
         omega = bv.omega_exact(n)
-        num, den = omega.mantissa.numerator, omega.mantissa.denominator
-        with mpmath.workprec(128):
-            assert bv._quotient(num, den) == mpmath.mpf(num) / den, n
-        assert n > 3000 or omega.to_real() == _to_real_whole(omega), n
-    # leading 192 bits of a numerator just below a rounding tie at 128 bits,
-    # which one more unit on them reaches and rounds up to even; and a
-    # denominator just past 2^378 / c, so that 1/den lies just below the tie
-    # c 2^-378 (c odd, of 129 bits) and one over its leading bits above it:
-    # each is read whole
+        assert omega.to_real() == _to_real_whole(omega), n
+    # the edge cases of a reader of leading 192 bits: a numerator whose
+    # leading bits lie just below a rounding tie at 128 bits, which one more
+    # unit on them reaches and rounds up to even; and a denominator just past
+    # 2^378 / c, so that 1/den lies just below the tie c 2^-378 (c odd, of
+    # 129 bits) and one over its leading bits above it
     below_tie = ((2**127 + 1) << 64) + (1 << 63) - 1
     straddle = (1 << 378) // ((1 << 128) + 3) + 1
     for num, den in ((below_tie << 40 | 12345, 3), (below_tie << 40, 1), (1, straddle),
                      (3**200, 5**150)):
-        with mpmath.workprec(128):
-            assert bv._quotient(num, den) == mpmath.mpf(num) / den, (num, den)
         for p in (5, -9):
             value = bv.ExactBallValue(Fraction(num, den), p)
             assert value.to_real() == _to_real_whole(value), (num, den, p)
+
+
+def test_to_real_big_powers_round_correctly_or_raise():
+    # random mantissas at |p| in 5..300, for values from 2^1000 down past the
+    # underflow to 0.0: each double is the 600-bit product rounded once, or
+    # the call raises
+    import mpmath
+
+    rng = random.Random(2856)
+    kinds = set()
+    for _ in range(600):
+        p = rng.choice((-1, 1)) * rng.randint(5, 300)
+        # half of the exponents near the subnormal range
+        e = rng.randint(-1100, -1000) if rng.random() < 0.5 else rng.randint(-1180, 1000)
+        shift = e - round(p * math.log2(math.pi))
+        den_bits = max(1, 1 - shift) + rng.randint(0, 300)
+        num, den = (rng.getrandbits(bits) | 1 << bits - 1
+                    for bits in (den_bits + shift, den_bits))
+        with mpmath.workprec(600):
+            man, exp = (mpmath.mpf(num) / den * mpmath.pi**p).man_exp
+        want = man / (1 << -exp) if exp < 0 else float(man << exp)
+        try:
+            got = bv.ExactBallValue(Fraction(num, den), p).to_real()
+        except BallRatioError:
+            continue
+        assert got == want, (num, den, p)
+        kinds.add("zero" if got == 0.0 else "subnormal" if got < 2.0**-1022 else "normal")
+    assert kinds == {"zero", "subnormal", "normal"}
+
+
+def test_to_real_certifies_underflow_only_below_half_the_least_subnormal():
+    # (2^64 - 1) 2^-1147 pi^5 = 2^-1074.74 rounds to the least subnormal, one
+    # bit above what bit lengths certify below 2^-1075; its half they certify
+    edge = Fraction((1 << 64) - 1, 1 << 1147)
+    assert bv.ExactBallValue(edge, 5).to_real() == 5e-324
+    assert bv.ExactBallValue(edge / 2, 5).to_real() == 0.0
+
+
+def test_to_real_raises_where_the_ends_straddle_a_midpoint():
+    # (1 + 2^-53) (pi / c)^5 with c the midpoint of pi's bracket: at its low
+    # end below 1 + 2^-53, the midpoint of 1 and the next double, at its high
+    # end above it
+    c = Fraction(2 * bv._PI + 1, 2 << 256)
+    value = bv.ExactBallValue(Fraction(2**53 + 1, 2**53) / c**5, 5)
+    with pytest.raises(BallRatioError):
+        value.to_real()
 
 
 def test_v_spot_values():
@@ -144,8 +184,8 @@ def test_compare_to_fraction_brackets():
 
 
 def test_compare_raises_when_brackets_cannot_separate():
-    # a rational chosen inside the 34-digit bracket around pi itself
-    q = bv.PI_LO + Fraction(1, 2 * 10**34)
+    # a rational chosen inside the bracket around pi itself
+    q = Fraction(2 * bv._PI + 1, 2 << 256)
     with pytest.raises(BallRatioError):
         bv.ExactBallValue(Fraction(1), 1).compare_to_fraction(q)
 
@@ -300,11 +340,12 @@ def test_omega_matches_factorial_formula():
 
 
 def test_to_real_big_powers_round_like_the_exact_bracket():
-    # the exact product with the 34-digit PI_LO, rounded once, is the reference;
+    # the exact product with a 34-digit pi, rounded once, is the reference;
     # n = 400..460 crosses the subnormal range and the underflow to 0.0
+    pi_34 = Fraction(31415926535897932384626433832795028, 10**34)
     for n in range(10, 461):  # pi powers 5..230
         om = bv.omega_exact(n)
-        assert om.to_real() == float(om.mantissa * bv.PI_LO**om.pi_power), n
+        assert om.to_real() == float(om.mantissa * pi_34**om.pi_power), n
     assert bv.omega_exact(20_000).to_real() == 0.0
 
 

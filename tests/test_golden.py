@@ -12,7 +12,7 @@ import pytest
 from ballratio.cli import main
 
 # dense lists of n, spelled out in place of their names below
-_NS = {"1..300": range(1, 301), "2000..1": range(2000, 0, -1)}
+_NS = {"1..300": range(1, 301), "2000..1": range(2000, 0, -1), "odd..9999": range(1, 10_000, 2)}
 
 
 def _argv(args):
@@ -180,6 +180,25 @@ CORPUS = [
      "c947da471376c4d1d048d8942af1d709ff58c834bb4a7bcaaedea2b10c7e9bb7"),
     ("volume --n 0,1,2,9,10,2800 --format json", 0,
      "ae008d18d7b2771cc211873b5e4898d2fda01cdd3abf95a6da84648473f9bfc6"),
+    # Omega_n across the subnormal range to its underflow (the last nonzero
+    # double is at n = 452), and far past it
+    ("volume --n 10,11,100,200,300,400,450,451,452,453,454,455,456,457,1000 --format text", 0,
+     "0715294f76a828d85a7da34957defb4e6b4360801244e806092f52180aa885f9"),
+    ("volume --n 10,11,100,200,300,400,450,451,452,453,454,455,456,457,1000 --format csv", 0,
+     "216ea024f164ba1fff61eb9685a04c3e05458bf1c789f668004c6209664c89aa"),
+    ("volume --n 10,11,100,200,300,400,450,451,452,453,454,455,456,457,1000 --format json", 0,
+     "8d2183fb6d7fcb915c52f6adccd44087f98bcdcf6f0f3d7e99092eedd883dba7"),
+    ("volume --n 20000 --format text", 0,
+     "c81c3c0d977afb3c605cd96b68efd41a3c9066c39f79b4839b433d20fc727b14"),
+    ("volume --n 20000 --format csv", 0,
+     "f69f49b5bffaeea0ad21a25a0b512d44a3a02cae0e7721e7cdbeb506235e4d5a"),
+    ("volume --n 20000 --format json", 0,
+     "f0ad63b95a934394a3a7028d8dc807bc763480152071c3565523819e22e0ec8a"),
+    # the dense odd-n table, whose csv test_analysis pins
+    ("bounds --target v --n odd..9999 --format text", 0,
+     "1d5be27a7de85ce3b19aba99f94e54bdba7b682e03a6ed5810a611402798a02f"),
+    ("bounds --target v --n odd..9999 --format json", 0,
+     "29da4ba3bec609c7760ea8744363e55b9af14cf256afdbd29bdf6d3982f796e3"),
 ]
 
 # (arguments, exit code, the one stderr line) of refused invocations, which

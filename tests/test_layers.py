@@ -34,6 +34,21 @@ print(json.dumps([codes, [m for m in ("mpmath", "ballratio.gautschi") if m in sy
     assert got == [[0, 0, 0], []]
 
 
+def test_volume_at_any_n_loads_no_mpmath():
+    # to_real beyond pi^4 reads ballvol's integer pi bracket: a normal double
+    # (n = 10), the last n that divides (455), and n whose underflow bit
+    # lengths certify, to the cap
+    got = _child("""
+import contextlib, io, json, sys
+from ballratio.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["volume", "--n", "10,455,2800,20000,100000"])
+print(json.dumps([code, "mpmath" in sys.modules]))
+""")
+    assert got == [0, False]
+
+
 def test_product_layer_loads_mpmath():
     assert _child("import json, sys, ballratio.gautschi; "
                   "print(json.dumps('mpmath' in sys.modules))")

@@ -29,11 +29,12 @@ def test_constants():
 
 
 def test_kernel_constants_are_mpmaths_at_288_bits():
-    # the literals are the floors of pi^2 2^192, gamma 2^256 and log(2) 2^256,
-    # and B_2..B_40, as mpmath gives them
+    # the constants are the floors of pi 2^256 (ballvol's), pi^2 2^192, gamma
+    # 2^256 and log(2) 2^256, and B_2..B_40, as mpmath gives them
     import mpmath
 
     with mpmath.workprec(288):
+        assert bv._PI == int(mpmath.pi * 2 ** 256)
         assert sf._PI2 == int(mpmath.pi ** 2 * 2 ** 192)
         assert sf._EULER == int(mpmath.euler * 2 ** sf._P)
         assert sf._LN2 == int(mpmath.ln2 * 2 ** sf._P)

@@ -17,9 +17,11 @@ the trees alternates from one run to the next):
   `queries` round holds: v and w tables at n = 30000 and 29999, and a
   near-tie crossover to 3000; and 5 runs each of v and w tables at
   n = 100000 and 99999 and of `volume --n 100000`, the sparse reads at the
-  cap; 5 runs of a v table over the odd n <= 9999, a dense table; and 5
-  runs each of the truncates at order 1000, a v table over n = 1..300 and
-  a crossover to 1000; the wall time is taken with time.perf_counter
+  cap; 5 runs of `volume --n 10,100,200,300,400,455`, Omega_n's doubles
+  from pi^5 to the last n before bit lengths certify its underflow; 5 runs
+  of a v table over the odd n <= 9999, a dense table; and 5 runs each of
+  the truncates at order 1000, a v table over n = 1..300 and a crossover
+  to 1000; the wall time is taken with time.perf_counter
   around the child, and the peak resident set from os.wait4 of that child;
 - (IMPORT_RUNS runs) a cold `import ballratio.cli` in a fresh interpreter,
   timed the same way, and whether it loaded mpmath;
@@ -81,6 +83,7 @@ CLI_RUNS = (
     ("bounds_v_100000", ["bounds", "--target", "v", "--n", "100000,99999"], 5),
     ("bounds_w_100000", ["bounds", "--target", "w", "--n", "100000,99999"], 5),
     ("volume_100000", ["volume", "--n", "100000"], 5),
+    ("volume_10_455", ["volume", "--n", "10,100,200,300,400,455"], 5),
     ("bounds_v_odd_9999", ["bounds", "--target", "v", "--n",
                            ",".join(map(str, range(1, 10_000, 2)))], 5),
     ("bounds_v_trunc_1000", ["bounds", "--target", "v", "--ids", "lower-trunc:1000,upper-h:1000",
